@@ -4,7 +4,12 @@
 // modes (scalar / AES-NI / VAES), Huffman decode (tree walk vs. the
 // multi-symbol probe table), and the SZ predict/quantize row kernels
 // (scalar / SSE2 / AVX2) — forcing each level in-process through
-// cpu::override_features_for_testing().
+// cpu::override_features_for_testing().  It also reports the word-at-a-
+// time bit I/O paths, which have one implementation and no dispatch
+// level: Huffman encode (MB/s of uint32 codes packed) and zlite deflate
+// / inflate at Level::kDefault on a real stage-4 payload (MB/s of
+// payload).  These rows carry no floor, since there is no in-process
+// reference level to compare them against.
 //
 // This is also the perf-floor gate for CI: the process exits nonzero
 // when
@@ -32,9 +37,13 @@
 #include "common/cpu.h"
 #include "common/error.h"
 #include "common/timer.h"
+#include "core/codec.h"
 #include "crypto/aes.h"
+#include "data/fieldgen.h"
 #include "huffman/huffman.h"
 #include "sz/kernels.h"
+#include "sz/pipeline.h"
+#include "zlite/zlite.h"
 
 namespace {
 
@@ -131,6 +140,11 @@ void bench_huffman(std::vector<KernelResult>& out, double& ratio) {
   const Bytes bits = szsec::huffman::encode(table, symbols);
 
   const size_t payload = kCount * sizeof(uint32_t);
+  out.push_back({"huffman-encode", "scalar", time_mbps(payload, [&] {
+                   const Bytes got = szsec::huffman::encode(table, symbols);
+                   SZSEC_REQUIRE(got.size() == bits.size(),
+                                 "huffman encode size changed");
+                 })});
   const double tree = time_mbps(payload, [&] {
     const auto got =
         szsec::huffman::decode_tree_walk(table, BytesView(bits), kCount);
@@ -143,6 +157,43 @@ void bench_huffman(std::vector<KernelResult>& out, double& ratio) {
   out.push_back({"huffman-decode-tree", "scalar", tree});
   out.push_back({"huffman-decode-table", "scalar", probe});
   ratio = probe / tree;
+}
+
+// ---------------------------------------------------------------- zlite
+
+void bench_zlite(std::vector<KernelResult>& out) {
+  // The bytes stage 4 receives for a smooth 16 MiB f32 field at eb 1e-3:
+  // Huffman-coded quantization array, unpredictable values, side info.
+  const szsec::Dims dims{64, 256, 256};
+  const std::vector<float> field = szsec::data::smooth_noise(dims, 0x21E, 6);
+  szsec::sz::Params params;
+  params.abs_error_bound = 1e-3;
+  const szsec::sz::QuantizedField q = szsec::sz::predict_quantize(
+      std::span<const float>(field), dims, params);
+  const szsec::sz::EncodedQuant enc = szsec::sz::huffman_encode_codes(q);
+  szsec::core::codec::PayloadView pv;
+  pv.tree_or_cipher = BytesView(enc.tree);
+  pv.codewords = BytesView(enc.codewords);
+  pv.symbol_count = enc.symbol_count;
+  pv.unpredictable = BytesView(q.unpredictable);
+  pv.unpredictable_count = q.unpredictable_count;
+  pv.side_info = BytesView(q.side_info);
+  const Bytes payload =
+      szsec::core::codec::assemble_payload(szsec::core::Scheme::kNone, pv);
+
+  namespace zlite = szsec::zlite;
+  const Bytes packed = zlite::deflate(BytesView(payload));
+  out.push_back({"zlite-deflate", "scalar", time_mbps(payload.size(), [&] {
+                   const Bytes got = zlite::deflate(BytesView(payload));
+                   SZSEC_REQUIRE(got.size() == packed.size(),
+                                 "zlite deflate size changed");
+                 })});
+  out.push_back({"zlite-inflate", "scalar", time_mbps(payload.size(), [&] {
+                   const Bytes got =
+                       zlite::inflate(BytesView(packed), payload.size());
+                   SZSEC_REQUIRE(got.size() == payload.size(),
+                                 "zlite inflate size changed");
+                 })});
 }
 
 // ------------------------------------------------------------ SZ kernels
@@ -210,6 +261,7 @@ int main(int argc, char** argv) {
   double huffman_ratio = 0;
   cpu::override_features_for_testing(detected);
   bench_huffman(results, huffman_ratio);
+  bench_zlite(results);
 
   // SZ row kernels at every available level.
   bench_sz(0, "scalar", results);

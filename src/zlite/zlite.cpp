@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <queue>
 
@@ -43,19 +44,43 @@ constexpr uint8_t kDistExtra[30] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
 constexpr uint8_t kClOrder[19] = {16, 17, 18, 0, 8,  7, 9,  6, 10, 5,
                                   11, 4,  12, 3, 13, 2, 14, 1, 15};
 
-int length_code(size_t len) {
-  // len in [3, 258]
-  for (int c = 28; c >= 0; --c) {
-    if (len >= kLenBase[c]) return c;
+// Length and distance symbol lookups.  The tables are generated from
+// kLenBase/kDistBase by the same "largest base not above the value" rule
+// a linear scan applies.  Distances above 256 share their code within
+// each 128-wide bucket (every base there is 1 + a multiple of 128), so a
+// 256-entry table indexed by (dist - 1) >> 7 covers 257..32768.
+constexpr auto kLengthCode = [] {
+  std::array<uint8_t, kMaxMatch + 1> t{};
+  for (size_t len = kMinMatch; len <= kMaxMatch; ++len) {
+    uint8_t c = 0;
+    while (c + 1 < 29 && kLenBase[c + 1] <= len) ++c;
+    t[len] = c;
   }
-  return 0;
+  return t;
+}();
+
+constexpr uint8_t scan_dist_code(size_t dist) {
+  uint8_t c = 0;
+  while (c + 1 < 30 && kDistBase[c + 1] <= dist) ++c;
+  return c;
 }
 
+constexpr auto kDistCodeLow = [] {
+  std::array<uint8_t, 257> t{};
+  for (size_t d = 1; d <= 256; ++d) t[d] = scan_dist_code(d);
+  return t;
+}();
+
+constexpr auto kDistCodeHigh = [] {
+  std::array<uint8_t, kWindowSize / 128> t{};
+  for (size_t b = 2; b < t.size(); ++b) t[b] = scan_dist_code(b * 128 + 1);
+  return t;
+}();
+
+int length_code(size_t len) { return kLengthCode[len]; }
+
 int dist_code(size_t dist) {
-  for (int c = 29; c >= 0; --c) {
-    if (dist >= kDistBase[c]) return c;
-  }
-  return 0;
+  return dist <= 256 ? kDistCodeLow[dist] : kDistCodeHigh[(dist - 1) >> 7];
 }
 
 uint32_t bit_reverse(uint32_t code, unsigned len) {
@@ -169,13 +194,14 @@ struct Token {
 class Matcher {
  public:
   explicit Matcher(BytesView data, Level level)
-      : data_(data), level_(level) {
-    head_.assign(kHashSize, -1);
-    prev_.assign(data.size() < kWindowSize ? data.size() : kWindowSize, -1);
-  }
+      : data_(data),
+        level_(level),
+        head_(kHashSize, -1),
+        prev_(kWindowSize, -1) {}
 
   // Tokenizes data[begin, end) appending to `out`.
   void tokenize(size_t begin, size_t end, std::vector<Token>& out) {
+    rebase(begin >= kWindowSize ? begin - kWindowSize : 0);
     size_t pos = begin;
     // Lazy-match state: a pending match from the previous position.
     bool have_prev = false;
@@ -245,19 +271,57 @@ class Matcher {
  private:
   static constexpr size_t kHashBits = 15;
   static constexpr size_t kHashSize = 1u << kHashBits;
+  static constexpr size_t kRingMask = kWindowSize - 1;
   static constexpr int kMaxChain = 128;
 
+  // The first three bytes at `pos` as a little-endian integer, assembled
+  // from byte loads.  (A 3-byte memcpy into a stack word compiles to two
+  // partial stores and a 4-byte reload, which stalls on store forwarding
+  // twice per input byte.)
   uint32_t hash_at(size_t pos) const {
-    uint32_t h = 0;
-    std::memcpy(&h, data_.data() + pos, 3);
+    const uint8_t* p = data_.data() + pos;
+    const uint32_t h = p[0] | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16);
     return (h * 2654435761u) >> (32 - kHashBits);
   }
 
   void insert_hash(size_t pos) {
     if (pos + kMinMatch > data_.size()) return;
     const uint32_t h = hash_at(pos);
-    prev_[pos % prev_.size()] = head_[h];
-    head_[h] = static_cast<int64_t>(pos);
+    prev_[pos & kRingMask] = head_[h];
+    head_[h] = static_cast<int32_t>(pos - base_);
+  }
+
+  // Chain entries are positions relative to base_ so they fit in 32 bits
+  // for any input size.  Each chunk moves base_ up to one window before
+  // its start; entries older than that can never be a match candidate
+  // again and become -1, which ends a chain exactly where the window
+  // check would.
+  void rebase(size_t base) {
+    const int64_t shift = static_cast<int64_t>(base - base_);
+    if (shift == 0) return;
+    const auto slide = [shift](int32_t& e) {
+      e = e >= shift ? static_cast<int32_t>(e - shift) : -1;
+    };
+    std::for_each(head_.begin(), head_.end(), slide);
+    std::for_each(prev_.begin(), prev_.end(), slide);
+    base_ = base;
+  }
+
+  // Length of the common prefix of data[a..] and data[b..], capped at
+  // `max_len` (which must not run either past the data end).  Compares
+  // eight bytes per step; the first differing byte of the XOR is its
+  // lowest set byte on a little-endian load.
+  size_t match_length(size_t a, size_t b, size_t max_len) const {
+    const uint8_t* pa = data_.data() + a;
+    const uint8_t* pb = data_.data() + b;
+    size_t l = 0;
+    while (l + 8 <= max_len) {
+      const uint64_t x = detail::load_le64(pa + l) ^ detail::load_le64(pb + l);
+      if (x != 0) return l + (std::countr_zero(x) >> 3);
+      l += 8;
+    }
+    while (l < max_len && pa[l] == pb[l]) ++l;
+    return l;
   }
 
   void find_match(size_t pos, size_t limit, size_t& best_len,
@@ -267,18 +331,17 @@ class Matcher {
     const size_t max_len =
         std::min({kMaxMatch, data_.size() - pos, limit});
     if (max_len < kMinMatch) return;
-    int64_t cand = head_[hash_at(pos)];
+    int32_t cand = head_[hash_at(pos)];
     int chain = kMaxChain;
     const size_t min_pos = pos >= kWindowSize ? pos - kWindowSize : 0;
-    while (cand >= 0 && static_cast<size_t>(cand) >= min_pos &&
-           chain-- > 0) {
-      const size_t c = static_cast<size_t>(cand);
+    const int32_t min_rel = static_cast<int32_t>(min_pos - base_);
+    while (cand >= min_rel && chain-- > 0) {
+      const size_t c = base_ + static_cast<size_t>(cand);
       if (c < pos) {
         // Quick reject on the byte that would extend the current best.
         if (best_len == 0 ||
             data_[c + best_len] == data_[pos + best_len]) {
-          size_t l = 0;
-          while (l < max_len && data_[c + l] == data_[pos + l]) ++l;
+          const size_t l = match_length(c, pos, max_len);
           if (l > best_len) {
             best_len = l;
             best_dist = pos - c;
@@ -286,7 +349,7 @@ class Matcher {
           }
         }
       }
-      cand = prev_[c % prev_.size()];
+      cand = prev_[c & kRingMask];
     }
     if (best_len < kMinMatch) {
       best_len = 0;
@@ -296,8 +359,9 @@ class Matcher {
 
   BytesView data_;
   Level level_;
-  std::vector<int64_t> head_;
-  std::vector<int64_t> prev_;
+  size_t base_ = 0;
+  std::vector<int32_t> head_;
+  std::vector<int32_t> prev_;  // ring indexed by pos mod kWindowSize
 };
 
 // ---------------------------------------------------------------------------
@@ -373,37 +437,35 @@ void emit_tokens(LsbBitWriter& w, const std::vector<Token>& tokens,
     if (t.dist == 0) {
       w.put_bits(c.lit_code[t.len], c.lit_len[t.len]);
     } else {
+      // Each code is at most 15 bits and is followed by at most 13 extra
+      // bits, so code and extra bits go out in one put_bits call.
       const int lc = length_code(t.len);
-      w.put_bits(c.lit_code[257 + lc], c.lit_len[257 + lc]);
-      if (kLenExtra[lc] > 0) {
-        w.put_bits(t.len - kLenBase[lc], kLenExtra[lc]);
-      }
+      const unsigned lbits = c.lit_len[257 + lc];
+      w.put_bits(c.lit_code[257 + lc] |
+                     (static_cast<uint64_t>(t.len - kLenBase[lc]) << lbits),
+                 lbits + kLenExtra[lc]);
       const int dc = dist_code(t.dist);
-      w.put_bits(c.dist_code[dc], c.dist_len[dc]);
-      if (kDistExtra[dc] > 0) {
-        w.put_bits(t.dist - kDistBase[dc], kDistExtra[dc]);
-      }
+      const unsigned dbits = c.dist_len[dc];
+      w.put_bits(c.dist_code[dc] | (uint64_t{t.dist - kDistBase[dc]} << dbits),
+                 dbits + kDistExtra[dc]);
     }
   }
   w.put_bits(c.lit_code[kEob], c.lit_len[kEob]);
 }
 
-// Bit cost of the token stream under given code lengths.
-size_t token_cost_bits(const std::vector<Token>& tokens,
-                       std::span<const uint8_t> lit_len,
-                       std::span<const uint8_t> dist_len) {
+// Bit cost of a block's tokens (EOB included) from its symbol histograms.
+size_t histogram_cost_bits(std::span<const uint64_t> lit_freq,
+                           std::span<const uint64_t> dist_freq,
+                           std::span<const uint8_t> lit_len,
+                           std::span<const uint8_t> dist_len) {
   size_t bits = 0;
-  for (const Token& t : tokens) {
-    if (t.dist == 0) {
-      bits += lit_len[t.len];
-    } else {
-      const int lc = length_code(t.len);
-      bits += lit_len[257 + lc] + kLenExtra[lc];
-      const int dc = dist_code(t.dist);
-      bits += dist_len[dc] + kDistExtra[dc];
-    }
+  for (size_t s = 0; s < lit_freq.size(); ++s) {
+    const unsigned extra = s > 256 ? kLenExtra[s - 257] : 0;
+    bits += lit_freq[s] * (lit_len[s] + extra);
   }
-  bits += lit_len[kEob];
+  for (size_t d = 0; d < dist_freq.size(); ++d) {
+    bits += dist_freq[d] * (dist_len[d] + kDistExtra[d]);
+  }
   return bits;
 }
 
@@ -472,10 +534,11 @@ void emit_block(LsbBitWriter& w, BytesView raw,
     if (s.sym == 18) header_bits += 7;
   }
   const size_t dyn_bits =
-      3 + header_bits + token_cost_bits(tokens, lit_len, dist_len);
+      3 + header_bits +
+      histogram_cost_bits(lit_freq, dist_freq, lit_len, dist_len);
   const auto& fx = fixed_codes();
   const size_t fix_bits =
-      3 + token_cost_bits(tokens, fx.lit_len, fx.dist_len);
+      3 + histogram_cost_bits(lit_freq, dist_freq, fx.lit_len, fx.dist_len);
   const size_t stored_bits =
       (raw.size() + (raw.size() + 65534) / 65535 * 5 + 4) * 8;
 
@@ -515,6 +578,9 @@ void emit_block(LsbBitWriter& w, BytesView raw,
 // ---------------------------------------------------------------------------
 
 // Canonical (MSB-first code value) decoder over an LSB-first bit stream.
+// Codes of up to kTableBits bits resolve with one lookup on the next
+// kTableBits stream bits; longer codes, and bit patterns no code covers,
+// take the canonical walk.
 class CanonicalDecoder {
  public:
   CanonicalDecoder(std::span<const uint8_t> lengths, unsigned max_bits)
@@ -543,34 +609,155 @@ class CanonicalDecoder {
         if (lengths[s] == l) sorted_.push_back(static_cast<uint32_t>(s));
       }
     }
+    // A code of length l <= kTableBits owns every table slot whose low l
+    // bits are its (bit-reversed) codeword.  The code is prefix-free, so
+    // no two codes claim the same slot.
+    table_.fill(Entry{});
+    for (unsigned l = 1; l <= std::min(max_bits, kTableBits); ++l) {
+      for (uint32_t i = 0; i < count_[l]; ++i) {
+        const uint32_t rev = bit_reverse(first_code_[l] + i, l);
+        const Entry e{static_cast<uint16_t>(sorted_[first_index_[l] + i]),
+                      static_cast<uint8_t>(l)};
+        for (uint32_t slot = rev; slot < table_.size(); slot += 1u << l) {
+          table_[slot] = e;
+        }
+      }
+    }
   }
 
   uint32_t decode(LsbBitReader& r) const {
-    uint32_t code = 0;
-    for (unsigned len = 1; len <= max_bits_; ++len) {
-      code = (code << 1) | r.get_bit();
-      if (count_[len] != 0 && code - first_code_[len] < count_[len]) {
-        return sorted_[first_index_[len] + (code - first_code_[len])];
-      }
+    const uint64_t bits = r.peek(kMaxLitBits);
+    const Entry e = table_[bits & (table_.size() - 1)];
+    if (e.len != 0) {
+      r.consume(e.len);
+      return e.sym;
     }
-    throw CorruptError("corrupt: invalid Huffman code in stream");
+    return decode_walk(r, bits);
   }
 
  private:
+  static constexpr unsigned kTableBits = 10;
+
+  struct Entry {
+    uint16_t sym = 0;
+    uint8_t len = 0;  ///< 0: no code of <= kTableBits bits matches
+  };
+
+  // Bit-at-a-time canonical decode over `bits`, the next kMaxLitBits
+  // stream bits (zero past the end).  consume() throws if the code found
+  // runs past the end, and a pattern no code matches throws as "exhausted"
+  // when the stream ended first, just as reading bit by bit would.
+  uint32_t decode_walk(LsbBitReader& r, uint64_t bits) const {
+    uint32_t code = 0;
+    for (unsigned len = 1; len <= max_bits_; ++len) {
+      code = (code << 1) | static_cast<uint32_t>((bits >> (len - 1)) & 1);
+      if (count_[len] != 0 && code - first_code_[len] < count_[len]) {
+        r.consume(len);
+        return sorted_[first_index_[len] + (code - first_code_[len])];
+      }
+    }
+    SZSEC_CHECK_FORMAT(r.bits_remaining() >= max_bits_, "bitstream exhausted");
+    throw CorruptError("corrupt: invalid Huffman code in stream");
+  }
+
   unsigned max_bits_;
   std::vector<uint32_t> count_, first_code_, first_index_;
   std::vector<uint32_t> sorted_;
+  std::array<Entry, size_t{1} << kTableBits> table_;
+};
+
+// The fixed-code decoders, built once.
+const CanonicalDecoder& fixed_lit_decoder() {
+  static const CanonicalDecoder d(fixed_codes().lit_len, kMaxLitBits);
+  return d;
+}
+
+const CanonicalDecoder& fixed_dist_decoder() {
+  static const CanonicalDecoder d(fixed_codes().dist_len, kMaxLitBits);
+  return d;
+}
+
+// Inflate output cursor over `out`: the vector's size is the writable
+// extent and `n_` the bytes produced.  Every write first checks the
+// max_size cap, and growth reserves exactly, never past max_size, so a
+// stream that claims more output than the cap allows throws before
+// anything beyond the cap is allocated.  The destructor trims `out` to
+// what was produced, also when decoding throws.
+class Output {
+ public:
+  Output(Bytes& out, size_t max_size) : out_(out), max_(max_size) {
+    out_.clear();
+  }
+  ~Output() { out_.resize(n_); }
+  Output(const Output&) = delete;
+  Output& operator=(const Output&) = delete;
+
+  size_t size() const { return n_; }
+
+  void append(BytesView raw) {
+    std::copy(raw.begin(), raw.end(), claim(raw.size()));
+    n_ += raw.size();
+  }
+
+  void put(uint8_t byte) {
+    *claim(1) = byte;
+    ++n_;
+  }
+
+  /// Appends the `len` bytes that start `d` bytes back (d <= size()).
+  void copy_match(size_t d, size_t len) {
+    uint8_t* dst = claim(len);
+    const uint8_t* src = dst - d;
+    if (d >= len) {
+      std::memcpy(dst, src, len);
+    } else if (d == 1) {
+      std::memset(dst, *src, len);
+    } else {
+      // Overlapping: later source bytes are ones this copy writes.  An
+      // 8-byte step reads only bytes already written when d >= 8.
+      size_t i = 0;
+      if (d >= 8) {
+        for (; i + 8 <= len; i += 8) std::memcpy(dst + i, src + i, 8);
+      }
+      for (; i < len; ++i) dst[i] = src[i];
+    }
+    n_ += len;
+  }
+
+ private:
+  // Room for `len` more bytes at the returned pointer.
+  uint8_t* claim(size_t len) {
+    SZSEC_CHECK_FORMAT(max_ == 0 || len <= max_ - n_,
+                       "inflated output exceeds declared size cap");
+    if (len > out_.size() - n_) grow(len);
+    return out_.data() + n_;
+  }
+
+  // Capacity grows geometrically; the writable extent (which resize()
+  // zero-fills, making its pages resident) runs at most kSlack past
+  // what has been asked for.
+  void grow(size_t len) {
+    static constexpr size_t kSlack = 32 * 1024;
+    const size_t need = n_ + len;
+    if (need > out_.capacity()) {
+      size_t cap = std::max({need, 2 * out_.capacity(), size_t{4096}});
+      if (max_ != 0) cap = std::min(cap, max_);
+      out_.reserve(cap);
+    }
+    out_.resize(std::min(out_.capacity(), need + kSlack));
+  }
+
+  Bytes& out_;
+  size_t max_;
+  size_t n_ = 0;
 };
 
 void inflate_tokens(LsbBitReader& r, const CanonicalDecoder& lit,
-                    const CanonicalDecoder& dist, Bytes& out,
-                    size_t max_size) {
+                    const CanonicalDecoder& dist, Output& out) {
   while (true) {
     const uint32_t sym = lit.decode(r);
     if (sym < 256) {
-      SZSEC_CHECK_FORMAT(max_size == 0 || out.size() < max_size,
-                         "inflated output exceeds declared size cap");
-      out.push_back(static_cast<uint8_t>(sym));
+      out.put(static_cast<uint8_t>(sym));
     } else if (sym == kEob) {
       return;
     } else {
@@ -583,11 +770,7 @@ void inflate_tokens(LsbBitReader& r, const CanonicalDecoder& lit,
       const size_t d =
           kDistBase[dsym] + static_cast<size_t>(r.get_bits(kDistExtra[dsym]));
       SZSEC_CHECK_FORMAT(d <= out.size(), "distance beyond output start");
-      SZSEC_CHECK_FORMAT(max_size == 0 || len <= max_size - out.size(),
-                         "inflated output exceeds declared size cap");
-      // Byte-at-a-time copy handles overlapping matches correctly.
-      const size_t start = out.size() - d;
-      for (size_t i = 0; i < len; ++i) out.push_back(out[start + i]);
+      out.copy_match(d, len);
     }
   }
 }
@@ -630,7 +813,7 @@ Bytes inflate(BytesView data, size_t size_hint, size_t max_size) {
 void inflate_into(BytesView data, Bytes& out, size_t size_hint,
                   size_t max_size) {
   LsbBitReader r(data);
-  out.clear();
+  Output o(out, max_size);
   const size_t want = max_size != 0 ? std::min(size_hint, max_size)
                                     : size_hint;
   if (want > out.capacity()) out.reserve(want);
@@ -643,15 +826,9 @@ void inflate_into(BytesView data, Bytes& out, size_t size_hint,
       const uint64_t len = r.get_bits(16);
       const uint64_t nlen = r.get_bits(16);
       SZSEC_CHECK_FORMAT((len ^ nlen) == 0xFFFF, "stored block LEN mismatch");
-      SZSEC_CHECK_FORMAT(max_size == 0 || len <= max_size - out.size(),
-                         "inflated output exceeds declared size cap");
-      const BytesView raw = r.get_bytes(static_cast<size_t>(len));
-      out.insert(out.end(), raw.begin(), raw.end());
+      o.append(r.get_bytes(static_cast<size_t>(len)));
     } else if (btype == 1) {
-      const auto& fx = fixed_codes();
-      const CanonicalDecoder lit(fx.lit_len, kMaxLitBits);
-      const CanonicalDecoder dist(fx.dist_len, kMaxLitBits);
-      inflate_tokens(r, lit, dist, out, max_size);
+      inflate_tokens(r, fixed_lit_decoder(), fixed_dist_decoder(), o);
     } else if (btype == 2) {
       const int nlit = static_cast<int>(r.get_bits(5)) + 257;
       const int ndist = static_cast<int>(r.get_bits(5)) + 1;
@@ -690,7 +867,7 @@ void inflate_into(BytesView data, Bytes& out, size_t size_hint,
           lengths.data() + nlit, static_cast<size_t>(ndist));
       const CanonicalDecoder lit(lit_span, kMaxLitBits);
       const CanonicalDecoder dist(dist_span, kMaxLitBits);
-      inflate_tokens(r, lit, dist, out, max_size);
+      inflate_tokens(r, lit, dist, o);
     } else {
       throw CorruptError("corrupt: reserved block type");
     }

@@ -239,6 +239,134 @@ TEST(BitStream, RandomizedMsbLsbRoundTrip) {
   }
 }
 
+// Bit-at-a-time reference for the word-at-a-time writers: a plain list
+// of bits, packed into bytes only at the end.
+struct ReferenceBits {
+  std::vector<uint8_t> bits;
+
+  void put(uint64_t value, unsigned nbits, bool msb_first) {
+    for (unsigned i = 0; i < nbits; ++i) {
+      const unsigned shift = msb_first ? nbits - 1 - i : i;
+      bits.push_back(static_cast<uint8_t>((value >> shift) & 1));
+    }
+  }
+  void align() {
+    while (bits.size() % 8 != 0) bits.push_back(0);
+  }
+  Bytes pack(bool msb_first) const {
+    Bytes out((bits.size() + 7) / 8, 0);
+    for (size_t i = 0; i < bits.size(); ++i) {
+      const unsigned shift = msb_first ? 7 - i % 8 : i % 8;
+      out[i / 8] |= static_cast<uint8_t>(bits[i] << shift);
+    }
+    return out;
+  }
+};
+
+TEST(BitStream, WritersMatchBitAtATimeReference) {
+  std::mt19937_64 rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    BitWriter mw;
+    LsbBitWriter lw;
+    ReferenceBits mref, lref;
+    const int ops = 1 + static_cast<int>(rng() % 300);
+    for (int op = 0; op < ops; ++op) {
+      // Values carry garbage above nbits; the writers must ignore it.
+      const uint64_t value = rng();
+      const unsigned nbits = static_cast<unsigned>(rng() % 65);
+      switch (rng() % 8) {
+        case 0:
+          mw.put_bit(static_cast<unsigned>(value));
+          mref.put(value, 1, true);
+          lw.align_to_byte();
+          lref.align();
+          break;
+        case 1: {
+          const Bytes raw(rng() % 5, static_cast<uint8_t>(value));
+          lw.align_to_byte();
+          lw.put_bytes(BytesView(raw));
+          lref.align();
+          for (uint8_t b : raw) lref.put(b, 8, false);
+          break;
+        }
+        default:
+          mw.put_bits(value, nbits);
+          mref.put(value, nbits, true);
+          lw.put_bits(value, nbits);
+          lref.put(value, nbits, false);
+      }
+      ASSERT_EQ(mw.bit_count(), mref.bits.size());
+      ASSERT_EQ(lw.bit_count(), lref.bits.size());
+    }
+    EXPECT_EQ(mw.finish(), mref.pack(true)) << "trial " << trial;
+    EXPECT_EQ(lw.finish(), lref.pack(false)) << "trial " << trial;
+  }
+}
+
+// Reads that would reach past the end must throw even where the
+// buffered reader's zero padding would make up a plausible value: the
+// data here is all zeros, so a padded read returns exactly what a valid
+// one would.
+TEST(BitStream, ReadJustPastEndThrowsDespiteZeroPadding) {
+  for (size_t n = 0; n <= 17; ++n) {
+    const Bytes zeros(n, 0);
+    for (unsigned chunk : {1u, 3u, 7u, 8u, 13u, 32u, 57u, 64u}) {
+      LsbBitReader lr{BytesView(zeros)};
+      BitReader mr{BytesView(zeros)};
+      size_t left = n * 8;
+      while (left >= chunk) {
+        EXPECT_EQ(lr.get_bits(chunk), 0u);
+        EXPECT_EQ(mr.get_bits(chunk), 0u);
+        left -= chunk;
+      }
+      ASSERT_EQ(lr.bits_remaining(), left);
+      ASSERT_EQ(mr.bits_remaining(), left);
+      EXPECT_THROW(lr.get_bits(static_cast<unsigned>(left) + 1), CorruptError)
+          << "n=" << n << " chunk=" << chunk;
+      EXPECT_THROW(mr.get_bits(static_cast<unsigned>(left) + 1), CorruptError)
+          << "n=" << n << " chunk=" << chunk;
+    }
+  }
+}
+
+TEST(BitStream, LsbPeekShowsZerosButConsumeThrows) {
+  const Bytes one = {0xFF};
+  LsbBitReader r{BytesView(one)};
+  EXPECT_EQ(r.get_bits(5), 0x1Fu);
+  EXPECT_EQ(r.peek(8), 0x07u);  // three real bits, then padding
+  r.consume(3);
+  EXPECT_EQ(r.peek(16), 0u);
+  EXPECT_THROW(r.consume(1), CorruptError);
+  EXPECT_THROW(r.get_bit(), CorruptError);
+
+  // Past a wide (8-byte) refill the same holds at the exact boundary.
+  Bytes nine(9, 0);
+  nine[8] = 0x80;
+  LsbBitReader w{BytesView(nine)};
+  EXPECT_EQ(w.get_bits(64), 0u);
+  EXPECT_EQ(w.get_bits(7), 0u);
+  EXPECT_EQ(w.peek(4), 1u);
+  w.consume(1);
+  EXPECT_THROW(w.consume(1), CorruptError);
+}
+
+TEST(BitStream, LsbAlignAndBytesAfterWideRefill) {
+  Bytes data(32);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  LsbBitReader r{BytesView(data)};
+  EXPECT_EQ(r.get_bits(3), 0u);  // low bits of byte 0
+  r.align_to_byte();
+  EXPECT_EQ(r.get_bits(8), 1u);
+  const BytesView got = r.get_bytes(4);
+  EXPECT_EQ(got[0], 2);
+  EXPECT_EQ(got[3], 5);
+  EXPECT_EQ(r.get_bits(16), 6u | (7u << 8));
+  EXPECT_EQ(r.bits_remaining(), (32 - 8) * 8u);
+  EXPECT_THROW(r.get_bytes(25), CorruptError);
+  EXPECT_EQ(r.get_bytes(24).size(), 24u);
+  EXPECT_THROW(r.get_bit(), CorruptError);
+}
+
 TEST(Crc32, KnownAnswer) {
   const std::string s = "123456789";
   const Bytes b(s.begin(), s.end());

@@ -1,10 +1,16 @@
 // zlite (DEFLATE-style codec) tests: round trips across data regimes and
 // sizes, compression-effectiveness sanity, the random-data behaviour that
-// drives the paper's Encr-Quant results, and corrupt-stream handling.
+// drives the paper's Encr-Quant results, and corrupt-stream handling
+// (every truncation of a mixed-block stream, the max_size bomb cap).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/bitstream.h"
 #include "common/error.h"
 #include "crypto/drbg.h"
 #include "zlite/zlite.h"
@@ -239,6 +245,106 @@ TEST(Zlite, InflateMaxSizeCapsOutput) {
   // max_size = 0 stays unlimited.
   const Bytes packed = deflate(BytesView(data));
   EXPECT_EQ(inflate(BytesView(packed)), data);
+}
+
+// A valid three-block stream, one block of each type: a hand-assembled
+// fixed block, a stored block, then zlite's own output for `tail` (a
+// final dynamic block, which starts on the byte boundary the stored
+// block leaves).  `expected` receives the stream's decoded bytes.
+Bytes multi_block_stream(Bytes& expected) {
+  LsbBitWriter w;
+  // Huffman codes go out most significant bit first.
+  const auto put_code = [&w](uint32_t code, unsigned len) {
+    for (unsigned i = len; i-- > 0;) w.put_bits(code >> i, 1);
+  };
+  const std::string word = "zlite";
+  w.put_bits(0, 1);  // BFINAL=0
+  w.put_bits(1, 2);  // BTYPE=01 fixed
+  for (char ch : word) put_code(0x30 + static_cast<uint8_t>(ch), 8);
+  put_code(260 - 256, 7);  // length 6: code 260, no extra bits
+  put_code(4, 5);          // distance 5: code 4 ...
+  w.put_bits(0, 1);        // ... plus one extra bit
+  put_code(0, 7);          // end of block
+  expected.assign(word.begin(), word.end());
+  for (int i = 0; i < 6; ++i) expected.push_back(expected[expected.size() - 5]);
+
+  Bytes raw(300);
+  std::mt19937_64 rng(53);
+  for (auto& b : raw) b = static_cast<uint8_t>(rng());
+  w.put_bits(0, 1);  // BFINAL=0
+  w.put_bits(0, 2);  // BTYPE=00 stored
+  w.align_to_byte();
+  w.put_bits(raw.size(), 16);
+  w.put_bits(~raw.size(), 16);
+  w.put_bytes(BytesView(raw));
+  expected.insert(expected.end(), raw.begin(), raw.end());
+
+  Bytes tail;
+  const std::string phrase = "stage four sees this phrase again and again; ";
+  while (tail.size() < 4000) {
+    tail.insert(tail.end(), phrase.begin(), phrase.end());
+    tail.push_back(static_cast<uint8_t>(rng() % 64));
+  }
+  const Bytes packed_tail = deflate(BytesView(tail));
+  EXPECT_EQ(packed_tail[0] & 7, 0b101) << "tail is not one final dynamic block";
+  expected.insert(expected.end(), tail.begin(), tail.end());
+
+  Bytes stream = w.finish();
+  stream.insert(stream.end(), packed_tail.begin(), packed_tail.end());
+  return stream;
+}
+
+TEST(Zlite, MixedBlockStreamEveryStrictPrefixThrows) {
+  Bytes expected;
+  const Bytes stream = multi_block_stream(expected);
+  ASSERT_EQ(inflate(BytesView(stream)), expected);
+  // The final block's end-of-block code ends in the last byte, so every
+  // strict prefix ends mid-stream; the zeros a buffered reader sees past
+  // the end must never decode as stream bits.
+  for (size_t cut = 0; cut < stream.size(); ++cut) {
+    const BytesView prefix = BytesView(stream).subspan(0, cut);
+    EXPECT_THROW(inflate(prefix), CorruptError) << "cut=" << cut;
+    EXPECT_THROW(inflate(prefix, 0, expected.size()), CorruptError)
+        << "cut=" << cut;
+  }
+}
+
+// inflate_into() must never hold more than max_size bytes of capacity
+// beyond what the caller's buffer already had, whether the stream fits
+// the cap or is a bomb that exceeds it.
+TEST(Zlite, InflateIntoNeverAllocatesPastMaxSize) {
+  Bytes data(200000, 0x41);
+  for (size_t i = 0; i < data.size(); i += 1009) {
+    data[i] = static_cast<uint8_t>(i);
+  }
+  Bytes mixed_out;
+  Bytes mixed = multi_block_stream(mixed_out);
+  std::vector<std::pair<Bytes, size_t>> streams;
+  streams.emplace_back(std::move(mixed), mixed_out.size());
+  for (Level level : {Level::kStored, Level::kFast, Level::kDefault}) {
+    streams.emplace_back(deflate(BytesView(data), level), data.size());
+  }
+  for (const auto& [stream, size] : streams) {
+    for (size_t max_size : {size_t{1}, size_t{4095}, size / 3, size - 1, size,
+                            size + 1, 3 * size}) {
+      for (size_t entry_cap : {size_t{0}, size_t{100}, size / 2, 2 * size}) {
+        for (size_t hint : {size_t{0}, size, 4 * size}) {
+          Bytes out;
+          out.reserve(entry_cap);
+          const size_t cap0 = out.capacity();
+          try {
+            inflate_into(BytesView(stream), out, hint, max_size);
+            EXPECT_EQ(out.size(), size);
+          } catch (const CorruptError&) {
+            EXPECT_LT(max_size, size);
+          }
+          EXPECT_LE(out.capacity(), std::max(max_size, cap0))
+              << "max_size=" << max_size << " entry_cap=" << entry_cap
+              << " hint=" << hint;
+        }
+      }
+    }
+  }
 }
 
 TEST(Zlite, LazyBeatsOrMatchesGreedyOnText) {
