@@ -259,7 +259,7 @@ typedef struct szsec_info {
   uint64_t elements;    /* field elements moved                       */
   uint64_t bytes_in;    /* bytes accepted via feed                    */
   uint64_t bytes_out;   /* bytes drained via pull                     */
-  uint64_t chunk_count; /* v3 chunks / v1 slabs (0 if unreported)     */
+  uint64_t chunk_count; /* v3 chunks / v1 slabs (0 for v2)            */
   double compression_ratio; /* encode only; 0 otherwise               */
   int salvage_used;         /* decode ran in salvage mode             */
   uint64_t chunks_expected;  /* salvage only                          */

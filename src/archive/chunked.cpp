@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/bufpool.h"
 #include "common/crc32.h"
@@ -23,26 +24,10 @@ using parallel::ParallelChunkScheduler;
 using parallel::SlabConfig;
 using parallel::SlabPlan;
 
-/// Scratch state owned by one pool worker: key-schedule cache plus
-/// inflate buffers, reused chunk after chunk without cross-worker locks.
-struct WorkerState {
-  explicit WorkerState(BytesView key) : runtimes(key) {}
-  RuntimeCache runtimes;
-  BufferPool scratch;
-};
-
-std::vector<std::unique_ptr<WorkerState>> make_worker_states(
-    size_t count, BytesView key) {
-  std::vector<std::unique_ptr<WorkerState>> states;
-  states.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    states.push_back(std::make_unique<WorkerState>(key));
-  }
-  return states;
-}
-
 constexpr uint64_t kMaxExtent = uint64_t{1} << 40;
 constexpr size_t kMarkerSize = sizeof(uint64_t);
+/// Largest read of the blocking strict decode loop.
+constexpr size_t kStreamBlock = size_t{64} << 10;
 
 template <typename T>
 constexpr sz::DType dtype_of() {
@@ -63,12 +48,38 @@ Bytes make_frame(uint64_t chunk_id, uint64_t row_start, uint64_t row_extent,
   return w.take();
 }
 
-/// The strict/salvage/verify code below predates the public FrameInfo
-/// name; keep the short internal aliases.
-using Frame = FrameInfo;
+/// A frame's fields up to its container bytes.
+struct FrameHead {
+  uint64_t chunk_id = 0;
+  uint64_t row_start = 0;
+  uint64_t row_extent = 0;
+  uint64_t container_len = 0;
+  uint32_t crc = 0;
+  size_t head_len = 0;  ///< marker byte 0 .. container byte 0
+};
 
-std::optional<Frame> parse_frame_at(BytesView archive, size_t pos) {
-  return parse_frame(archive, pos);
+/// Parses the frame header whose marker starts `v`; nullopt when the
+/// bytes are truncated, malformed or implausible.  What counts as a frame
+/// header is defined here once, for parse_frame and the salvage scan.
+std::optional<FrameHead> parse_frame_head(BytesView v) {
+  try {
+    ByteReader r(v);
+    if (r.get_u64() != kResyncMarker) return std::nullopt;
+    FrameHead h;
+    h.chunk_id = r.get_varint();
+    h.row_start = r.get_varint();
+    h.row_extent = r.get_varint();
+    h.container_len = r.get_varint();
+    h.crc = r.get_u32();
+    h.head_len = r.pos();
+    if (h.chunk_id > kMaxExtent || h.row_start > kMaxExtent ||
+        h.row_extent == 0 || h.row_extent > kMaxExtent) {
+      return std::nullopt;
+    }
+    return h;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
 }
 
 /// Finds the next resync marker at or after `pos` (byte-wise search).
@@ -102,61 +113,111 @@ Dims dims_from_extents(const size_t* extents, size_t rank) {
   }
 }
 
-/// Decodes one chunk container through the shared codec path and
-/// validates it against the frame's row claim (and the field's plane
-/// dims when already known).  When `into` is non-empty the chunk is
-/// reconstructed directly into it (the strict decoder passes its slice
-/// of the output field); otherwise `own` is resized and filled.
-/// Returns the failure reason, or empty on success.  When the failure
-/// was cryptographic (MAC mismatch, cipher rejection) `*crypto_failure`
-/// is set, so strict callers can surface a CryptoError instead of a
-/// generic CorruptError — a wrong tenant key and flipped archive bytes
-/// are different operator problems.
-template <typename T>
-std::string try_decode_chunk(const Frame& f, RuntimeCache& runtimes,
-                             BufferPool* pool,
-                             const std::optional<Dims>& field_dims,
-                             std::span<T> into, std::vector<T>* own,
-                             Dims& chunk_dims,
-                             PipelineMetrics* times = nullptr,
-                             bool* crypto_failure = nullptr) {
-  try {
-    const core::Header h = core::peek_header(f.container);
-    if (h.dims[0] != f.row_extent) return "container rows != frame rows";
-    if (field_dims) {
-      if (h.dims.rank() != field_dims->rank()) return "rank mismatch";
-      for (size_t i = 1; i < h.dims.rank(); ++i) {
-        if (h.dims[i] != (*field_dims)[i]) return "plane dims mismatch";
-      }
+}  // namespace
+
+std::string check_chunk_header(const core::Header& h, uint64_t frame_rows,
+                               const std::optional<Dims>& field_dims,
+                               std::optional<sz::DType> dtype) {
+  if (h.dims[0] != frame_rows) return "container rows != frame rows";
+  if (field_dims) {
+    if (h.dims.rank() != field_dims->rank()) return "rank mismatch";
+    for (size_t i = 1; i < h.dims.rank(); ++i) {
+      if (h.dims[i] != (*field_dims)[i]) return "plane dims mismatch";
     }
-    if (h.dtype != dtype_of<T>()) return "container dtype mismatch";
+  }
+  if (dtype && h.dtype != *dtype) return "container dtype mismatch";
+  return {};
+}
+
+namespace {
+
+/// One chunk container's decode outcome.  Failures are values, never
+/// exceptions: strict callers turn them into "chunk i: reason" errors,
+/// salvage into report entries.
+struct ChunkDecode {
+  std::string error;    ///< failure reason; empty on success
+  bool crypto = false;  ///< the failure was a MAC/cipher rejection
+  Dims dims;            ///< the chunk's own dims (on success)
+  /// Elements (unless decoded into a span or `rows`) and stage metrics.
+  core::DecompressResult r;
+  Bytes rows;  ///< raw element bytes when decoded into a row buffer
+};
+
+/// The one chunk validator behind every decoder — strict in-memory,
+/// streaming, salvage (both), and SeekableReader: check_chunk_header,
+/// then the decode itself (straight into opts.into_f32/into_f64, or into
+/// `rows` resized to the chunk, when given).  A cryptographic
+/// failure (MAC mismatch, cipher rejection) sets `crypto`, so strict
+/// callers can surface a CryptoError instead of a generic CorruptError —
+/// a wrong tenant key and flipped archive bytes are different operator
+/// problems.
+ChunkDecode decode_chunk(BytesView container, uint64_t frame_rows,
+                         const std::optional<Dims>& field_dims,
+                         std::optional<sz::DType> dtype,
+                         RuntimeCache& runtimes,
+                         core::codec::DecodeOptions opts,
+                         Bytes* rows = nullptr) {
+  ChunkDecode d;
+  const auto reason = [&]() -> std::string {
+    const core::Header h = core::peek_header(container);
+    std::string bad = check_chunk_header(h, frame_rows, field_dims, dtype);
+    if (!bad.empty()) return bad;
     core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
     spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
     const CodecRuntime& runtime = runtimes.get(h.params, h.scheme, spec);
-    std::span<T> dst = into;
-    if (dst.empty()) {
-      own->resize(h.dims.count());
-      dst = std::span<T>(*own);
+    if (rows != nullptr) {
+      // Raw row bytes into a caller-recycled buffer: steady-state
+      // streaming then allocates no output per chunk.
+      rows->resize(h.dims.count() * sz::dtype_size(h.dtype));
+      if (h.dtype == sz::DType::kFloat32) {
+        opts.into_f32 = std::span<float>(
+            reinterpret_cast<float*>(rows->data()), h.dims.count());
+      } else {
+        opts.into_f64 = std::span<double>(
+            reinterpret_cast<double*>(rows->data()), h.dims.count());
+      }
     }
-    if (dst.size() != h.dims.count()) return "decoded size mismatch";
-    core::codec::DecodeOptions opts;
-    opts.pool = pool;
-    if constexpr (std::is_same_v<T, float>) {
-      opts.into_f32 = dst;
-    } else {
-      opts.into_f64 = dst;
-    }
-    const core::DecompressResult r =
-        core::codec::decode_payload(runtime.config(), f.container, opts);
-    if (times != nullptr) times->merge(r.times);
-    chunk_dims = h.dims;
+    const size_t into = h.dtype == sz::DType::kFloat32
+                            ? opts.into_f32.size()
+                            : opts.into_f64.size();
+    if (into != 0 && into != h.dims.count()) return "decoded size mismatch";
+    d.r = core::codec::decode_payload(runtime.config(), container, opts);
+    d.dims = h.dims;
     return {};
+  };
+  try {
+    d.error = reason();
   } catch (const CryptoError& e) {
-    if (crypto_failure != nullptr) *crypto_failure = true;
-    return e.what();
+    d.crypto = true;
+    d.error = e.what();
   } catch (const Error& e) {
-    return e.what();
+    d.error = e.what();
   }
+  return d;
+}
+
+/// Scan-only salvage report (no index): each recovered chunk in id
+/// order as kRelocated, preceded by a kMissing entry for any row gap
+/// before it.  `get` maps a `placed` value to its row_start /
+/// row_extent / frame_len.
+template <typename Map, typename Get>
+void report_scan_only(SalvageReport& rep, const Map& placed, Get get) {
+  uint64_t next_gap_id = 0;
+  uint64_t row = 0;
+  for (const auto& [id, value] : placed) {
+    const auto& p = get(value);
+    if (p.row_start > row) {
+      rep.chunks.push_back(ChunkReport{
+          next_gap_id, ChunkStatus::kMissing, row, p.row_start - row, 0,
+          "no frame found for these rows"});
+    }
+    rep.chunks.push_back(ChunkReport{id, ChunkStatus::kRelocated,
+                                     p.row_start, p.row_extent, p.frame_len,
+                                     {}});
+    next_gap_id = id + 1;
+    row = p.row_start + p.row_extent;
+  }
+  rep.chunks_expected = rep.chunks.size();
 }
 
 }  // namespace
@@ -166,31 +227,20 @@ std::optional<FrameInfo> parse_frame(BytesView archive, size_t pos) {
   // offsets derived from untrusted index varints — bound it here so
   // every parse site is safe by construction.
   if (pos > archive.size()) return std::nullopt;
-  try {
-    ByteReader r(archive.subspan(pos));
-    if (r.get_u64() != kResyncMarker) return std::nullopt;
-    FrameInfo f;
-    f.offset = pos;
-    f.chunk_id = r.get_varint();
-    f.row_start = r.get_varint();
-    f.row_extent = r.get_varint();
-    if (f.chunk_id > kMaxExtent || f.row_start > kMaxExtent ||
-        f.row_extent == 0 || f.row_extent > kMaxExtent) {
-      return std::nullopt;
-    }
-    const uint64_t len = r.get_varint();
-    if (r.remaining() < sizeof(uint32_t) ||
-        len > r.remaining() - sizeof(uint32_t)) {
-      return std::nullopt;
-    }
-    const uint32_t crc = r.get_u32();
-    f.container = r.get_bytes(static_cast<size_t>(len));
-    f.frame_len = r.pos();
-    f.crc_ok = crc32(f.container) == crc;
-    return f;
-  } catch (const Error&) {
+  const std::optional<FrameHead> h = parse_frame_head(archive.subspan(pos));
+  if (!h || h->container_len > archive.size() - pos - h->head_len) {
     return std::nullopt;
   }
+  FrameInfo f;
+  f.chunk_id = h->chunk_id;
+  f.row_start = h->row_start;
+  f.row_extent = h->row_extent;
+  f.offset = pos;
+  f.frame_len = h->head_len + static_cast<size_t>(h->container_len);
+  f.container = archive.subspan(pos + h->head_len,
+                                static_cast<size_t>(h->container_len));
+  f.crc_ok = crc32(f.container) == h->crc;
+  return f;
 }
 
 const char* to_string(ChunkStatus s) {
@@ -206,172 +256,258 @@ const char* to_string(ChunkStatus s) {
   }
 }
 
-namespace {
-
-/// The one v3 compressor: pulls raw element bytes from `in` chunk by
-/// chunk (on the calling thread, in index order), encodes chunks on the
-/// pool, stages committed frames in a FrameSpool, then emits prelude +
-/// frames to `out`.  Peak memory is the scheduler window times one
-/// chunk's input + frame — never the whole field or archive.  The
-/// in-memory compress_chunked wrappers call this with a MemorySource/
-/// MemorySink, so "streamed bytes == in-memory bytes" holds by
-/// construction (and is additionally pinned by the proptest oracle).
-template <typename T>
-ChunkedStreamResult compress_stream_impl(ByteSource& in, ByteSink& out,
-                                         const Dims& dims,
-                                         const sz::Params& params,
-                                         core::Scheme scheme, BytesView key,
-                                         const core::CipherSpec& spec,
-                                         const ChunkedConfig& config,
-                                         crypto::CtrDrbg* seed_drbg) {
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{config.threads, config.max_in_flight});
-  SlabConfig scfg;
-  scfg.threads = config.threads;
-  scfg.slabs = config.chunks;
-  const SlabPlan plan =
-      parallel::plan_slabs(dims, scfg, sched.thread_count());
-
-  // Per-chunk DRBGs are derived serially from the master BEFORE fan-out,
-  // so chunk i's IV depends only on its index and the seed — the archive
-  // bytes are identical for every thread count.
-  crypto::CtrDrbg& master =
-      seed_drbg != nullptr ? *seed_drbg : crypto::global_drbg();
-  std::vector<crypto::CtrDrbg> drbgs;
-  drbgs.reserve(plan.count);
-  for (size_t i = 0; i < plan.count; ++i) {
-    drbgs.emplace_back(BytesView(master.generate(32)));
-  }
-
-  // One runtime (key schedule + MAC key) shared by every chunk; the
-  // codec config is immutable, so workers share it freely.
-  const CodecRuntime runtime(params, scheme, key, spec);
-  const core::codec::CodecConfig cfg = runtime.config();
-
-  // Raw chunk buffers are recycled through a pool: the feed (calling
-  // thread) acquires, the worker releases after encoding, so steady
-  // state allocates nothing per chunk however many chunks stream by.
-  FrameSpool spool(config.spool);
-  BufferPool input_pool;
-
-  struct ChunkInput {
-    Bytes raw;
-  };
+/// The one v3 compressor: cuts pushed element bytes into chunks on the
+/// pushing thread, in index order, encodes chunks on the scheduler,
+/// stages committed frames in a FrameSpool, then emits prelude + frames
+/// (+ seek footer) at finish().  Peak memory is the scheduler window
+/// times one chunk's input + frame, plus the staged frames (see
+/// ChunkedConfig::spool) — never the whole field.
+struct ChunkedEncoder::Impl {
   struct ChunkProduct {
     Bytes frame;
     core::CompressStats stats;
     PipelineMetrics times;
   };
 
-  ChunkedStreamResult out_r;
-  out_r.chunk_count = plan.count;
-  std::vector<uint64_t> frame_len(plan.count, 0);
-  double weighted_predictable = 0;
-
-  sched.run_ordered_fed<ChunkInput, ChunkProduct>(
-      plan.count,
-      [&](size_t i) {
-        const size_t bytes = plan.extent[i] * plan.plane * sizeof(T);
-        ChunkInput ci{input_pool.acquire(bytes)};
-        ci.raw.resize(bytes);
-        const size_t got = read_full(in, std::span<uint8_t>(ci.raw));
-        if (got != bytes) {
-          throw IoError("input stream ended mid-field (chunk " +
-                        std::to_string(i) + ")");
-        }
-        return ci;
-      },
-      [&](size_t, size_t i, ChunkInput&& ci) {
-        const std::span<const T> slab(
-            reinterpret_cast<const T*>(ci.raw.data()),
-            ci.raw.size() / sizeof(T));
-        core::CompressResult r = core::codec::encode_payload(
-            cfg, slab, parallel::slab_dims(dims, plan.extent[i]),
-            &drbgs[i]);
-        ChunkProduct p{
-            make_frame(i, plan.start[i], plan.extent[i], r.container),
-            r.stats, std::move(r.times)};
-        input_pool.release(std::move(ci.raw));
-        return p;
-      },
-      [&](size_t i, ChunkProduct&& p) {
-        frame_len[i] = p.frame.size();
-        spool.write(BytesView(p.frame));
-        out_r.stats.raw_bytes += p.stats.raw_bytes;
-        out_r.stats.payload_bytes += p.stats.payload_bytes;
-        out_r.stats.tree_bytes += p.stats.tree_bytes;
-        out_r.stats.codeword_bytes += p.stats.codeword_bytes;
-        out_r.stats.unpredictable_bytes += p.stats.unpredictable_bytes;
-        out_r.stats.unpredictable_count += p.stats.unpredictable_count;
-        out_r.stats.element_count += p.stats.element_count;
-        out_r.stats.encrypted_bytes += p.stats.encrypted_bytes;
-        weighted_predictable +=
-            p.stats.predictable_fraction * p.stats.element_count;
-        out_r.times.merge(p.times);
-      });
-
-  out_r.stats.predictable_fraction =
-      out_r.stats.element_count == 0
-          ? 0
-          : weighted_predictable / out_r.stats.element_count;
-
-  ByteWriter w;
-  w.put_u32(kChunkedMagic);
-  w.put_u8(kChunkedVersion);
-  w.put_u8(static_cast<uint8_t>(dims.rank()));
-  for (size_t i = 0; i < dims.rank(); ++i) w.put_varint(dims[i]);
-  w.put_varint(plan.count);
-  uint64_t rel = 0;
-  for (size_t i = 0; i < plan.count; ++i) {
-    w.put_varint(rel);
-    w.put_varint(frame_len[i]);
-    w.put_varint(plan.start[i]);
-    w.put_varint(plan.extent[i]);
-    rel += frame_len[i];
-  }
-  w.put_u32(crc32(BytesView(w.bytes())));
-
-  CountingSink counted(&out);
-  const Bytes prelude = w.take();
-  counted.write(BytesView(prelude));
-  spool.replay(counted);
-  if (config.seek_table) {
-    // Footer offsets are ABSOLUTE (prelude + relative frame offset), so
-    // a seekable reader needs no prelude parse at all; elem ranges are
-    // redundant with rows x plane by construction — the parser
-    // cross-checks them, which is what makes a forged footer detectable.
-    const size_t plane = dims.count() / dims[0];
-    ByteWriter fw;
-    fw.put_u32(kSeekFooterMagic);
-    fw.put_u8(kSeekFooterVersion);
-    fw.put_u8(dtype_of<T>() == sz::DType::kFloat32 ? 0 : 1);
-    fw.put_u8(static_cast<uint8_t>(dims.rank()));
-    for (size_t i = 0; i < dims.rank(); ++i) fw.put_varint(dims[i]);
-    fw.put_varint(plan.count);
-    uint64_t abs = prelude.size();
+  Impl(ByteSink& sink, sz::DType dtype, const Dims& dims,
+       const sz::Params& params, core::Scheme scheme, BytesView key,
+       const core::CipherSpec& spec, const ChunkedConfig& config,
+       crypto::CtrDrbg* seed_drbg)
+      : out(sink),
+        dtype(dtype),
+        dims(dims),
+        seek_table(config.seek_table),
+        sched(ChunkSchedulerConfig{config.threads, config.max_in_flight}),
+        plan(parallel::plan_slabs(dims, SlabConfig{config.threads,
+                                                   config.chunks},
+                                  sched.thread_count())),
+        runtime(params, scheme, key, spec),
+        cfg(runtime.config()),
+        spool(config.spool),
+        frame_len(plan.count, 0),
+        left(dims.count() * sz::dtype_size(dtype)),
+        run(
+            sched,
+            [this](size_t, size_t i, Bytes&& raw) {
+              return produce(i, std::move(raw));
+            },
+            [this](size_t i, ChunkProduct&& p) { commit(i, std::move(p)); }) {
+    // Per-chunk DRBGs are derived serially from the master BEFORE
+    // fan-out, so chunk i's IV depends only on its index and the seed —
+    // the archive bytes are identical for every thread count.
+    crypto::CtrDrbg& master =
+        seed_drbg != nullptr ? *seed_drbg : crypto::global_drbg();
+    drbgs.reserve(plan.count);
     for (size_t i = 0; i < plan.count; ++i) {
-      fw.put_varint(abs);
-      fw.put_varint(frame_len[i]);
-      fw.put_varint(plan.start[i]);
-      fw.put_varint(plan.extent[i]);
-      fw.put_varint(plan.start[i] * plane);
-      fw.put_varint(plan.extent[i] * plane);
-      abs += frame_len[i];
+      drbgs.emplace_back(BytesView(master.generate(32)));
     }
-    fw.put_u32(crc32(BytesView(fw.bytes())));
-    const size_t footer_len = fw.bytes().size();
-    SZSEC_REQUIRE(footer_len <= std::numeric_limits<uint32_t>::max(),
-                  "seek-table footer too large");
-    fw.put_u32(static_cast<uint32_t>(footer_len));
-    fw.put_u32(kSeekTrailerMagic);
-    const Bytes footer = fw.take();
-    counted.write(BytesView(footer));
+    res.chunk_count = plan.count;
   }
-  out.flush();
-  out_r.archive_bytes = counted.count();
-  out_r.stats.container_bytes = counted.count();
-  return out_r;
+
+  ChunkProduct produce(size_t i, Bytes&& raw) {
+    const auto encode = [&](const auto* elems) {
+      return core::codec::encode_payload(
+          cfg, std::span(elems, raw.size() / sizeof(*elems)),
+          parallel::slab_dims(dims, plan.extent[i]), &drbgs[i]);
+    };
+    core::CompressResult r =
+        dtype == sz::DType::kFloat32
+            ? encode(reinterpret_cast<const float*>(raw.data()))
+            : encode(reinterpret_cast<const double*>(raw.data()));
+    ChunkProduct p{make_frame(i, plan.start[i], plan.extent[i], r.container),
+                   r.stats, std::move(r.times)};
+    input_pool.release(std::move(raw));
+    return p;
+  }
+
+  void commit(size_t i, ChunkProduct&& p) {
+    frame_len[i] = p.frame.size();
+    spool.write(BytesView(p.frame));
+    res.stats.raw_bytes += p.stats.raw_bytes;
+    res.stats.payload_bytes += p.stats.payload_bytes;
+    res.stats.tree_bytes += p.stats.tree_bytes;
+    res.stats.codeword_bytes += p.stats.codeword_bytes;
+    res.stats.unpredictable_bytes += p.stats.unpredictable_bytes;
+    res.stats.unpredictable_count += p.stats.unpredictable_count;
+    res.stats.element_count += p.stats.element_count;
+    res.stats.encrypted_bytes += p.stats.encrypted_bytes;
+    weighted_predictable +=
+        p.stats.predictable_fraction * p.stats.element_count;
+    res.times.merge(p.times);
+  }
+
+  /// The unfilled tail of the chunk being filled (left > 0).  Raw chunk
+  /// buffers are recycled through a pool: this thread acquires, the
+  /// worker releases after encoding, so steady state allocates nothing
+  /// per chunk however many chunks stream by.
+  std::span<uint8_t> space() {
+    if (pending.empty()) {
+      const size_t i = run.pushed();
+      const size_t bytes =
+          plan.extent[i] * plan.plane * sz::dtype_size(dtype);
+      pending = input_pool.acquire(bytes);
+      pending.resize(bytes);
+    }
+    return std::span<uint8_t>(pending).subspan(filled);
+  }
+
+  /// Accounts `n` bytes just written into space(); a full chunk goes to
+  /// the scheduler.
+  void fill(size_t n) {
+    filled += n;
+    left -= n;
+    if (filled == pending.size()) {
+      run.push(std::exchange(pending, Bytes{}));
+      filled = 0;
+      run.commit_ready();
+    }
+  }
+
+  void feed(BytesView in) {
+    SZSEC_REQUIRE(in.size() <= left, "more field bytes than dims declare");
+    while (!in.empty()) {
+      const std::span<uint8_t> to = space();
+      const size_t n = std::min(to.size(), in.size());
+      std::memcpy(to.data(), in.data(), n);
+      in = in.subspan(n);
+      fill(n);
+    }
+  }
+
+  size_t feed_from(ByteSource& src) {
+    if (left == 0) return 0;
+    const std::span<uint8_t> to = space();
+    const size_t n = src.read(
+        to.first(static_cast<size_t>(std::min<uint64_t>(to.size(), left))));
+    fill(n);
+    return n;
+  }
+
+  ChunkedStreamResult finish() {
+    if (run.pushed() < plan.count) {
+      throw IoError("input stream ended mid-field (chunk " +
+                    std::to_string(run.pushed()) + ")");
+    }
+    run.finish();
+    res.stats.predictable_fraction =
+        res.stats.element_count == 0
+            ? 0
+            : weighted_predictable / res.stats.element_count;
+
+    ByteWriter w;
+    w.put_u32(kChunkedMagic);
+    w.put_u8(kChunkedVersion);
+    w.put_u8(static_cast<uint8_t>(dims.rank()));
+    for (size_t i = 0; i < dims.rank(); ++i) w.put_varint(dims[i]);
+    w.put_varint(plan.count);
+    uint64_t rel = 0;
+    for (size_t i = 0; i < plan.count; ++i) {
+      w.put_varint(rel);
+      w.put_varint(frame_len[i]);
+      w.put_varint(plan.start[i]);
+      w.put_varint(plan.extent[i]);
+      rel += frame_len[i];
+    }
+    w.put_u32(crc32(BytesView(w.bytes())));
+
+    CountingSink counted(&out);
+    const Bytes prelude = w.take();
+    counted.write(BytesView(prelude));
+    spool.replay(counted);
+    if (seek_table) {
+      // Footer offsets are ABSOLUTE (prelude + relative frame offset), so
+      // a seekable reader needs no prelude parse at all; elem ranges are
+      // redundant with rows x plane by construction — the parser
+      // cross-checks them, which is what makes a forged footer detectable.
+      const size_t plane = dims.count() / dims[0];
+      ByteWriter fw;
+      fw.put_u32(kSeekFooterMagic);
+      fw.put_u8(kSeekFooterVersion);
+      fw.put_u8(dtype == sz::DType::kFloat32 ? 0 : 1);
+      fw.put_u8(static_cast<uint8_t>(dims.rank()));
+      for (size_t i = 0; i < dims.rank(); ++i) fw.put_varint(dims[i]);
+      fw.put_varint(plan.count);
+      uint64_t abs = prelude.size();
+      for (size_t i = 0; i < plan.count; ++i) {
+        fw.put_varint(abs);
+        fw.put_varint(frame_len[i]);
+        fw.put_varint(plan.start[i]);
+        fw.put_varint(plan.extent[i]);
+        fw.put_varint(plan.start[i] * plane);
+        fw.put_varint(plan.extent[i] * plane);
+        abs += frame_len[i];
+      }
+      fw.put_u32(crc32(BytesView(fw.bytes())));
+      const size_t footer_len = fw.bytes().size();
+      SZSEC_REQUIRE(footer_len <= std::numeric_limits<uint32_t>::max(),
+                    "seek-table footer too large");
+      fw.put_u32(static_cast<uint32_t>(footer_len));
+      fw.put_u32(kSeekTrailerMagic);
+      const Bytes footer = fw.take();
+      counted.write(BytesView(footer));
+    }
+    out.flush();
+    res.archive_bytes = counted.count();
+    res.stats.container_bytes = counted.count();
+    return res;
+  }
+
+  ByteSink& out;
+  const sz::DType dtype;
+  const Dims dims;
+  const bool seek_table;
+  ParallelChunkScheduler sched;
+  const SlabPlan plan;
+  std::vector<crypto::CtrDrbg> drbgs;
+  // One runtime (key schedule + MAC key) shared by every chunk; the
+  // codec config is immutable, so workers share it freely.
+  const CodecRuntime runtime;
+  const core::codec::CodecConfig cfg;
+  FrameSpool spool;
+  BufferPool input_pool;
+  Bytes pending;  ///< the chunk being filled, sized to the chunk
+  size_t filled = 0;  ///< bytes of `pending` written so far
+  std::vector<uint64_t> frame_len;
+  uint64_t left;  ///< field bytes not yet fed
+  ChunkedStreamResult res;
+  double weighted_predictable = 0;
+  /// Last member: destroyed first, draining any chunk still on a worker
+  /// while everything it touches is alive.
+  ParallelChunkScheduler::OrderedRun<Bytes, ChunkProduct> run;
+};
+
+ChunkedEncoder::ChunkedEncoder(ByteSink& out, sz::DType dtype,
+                               const Dims& dims, const sz::Params& params,
+                               core::Scheme scheme, BytesView key,
+                               const core::CipherSpec& spec,
+                               const ChunkedConfig& config,
+                               crypto::CtrDrbg* seed_drbg)
+    : impl_(std::make_unique<Impl>(out, dtype, dims, params, scheme, key,
+                                   spec, config, seed_drbg)) {}
+
+ChunkedEncoder::~ChunkedEncoder() = default;
+
+void ChunkedEncoder::feed(BytesView in) { impl_->feed(in); }
+
+size_t ChunkedEncoder::feed_from(ByteSource& in) {
+  return impl_->feed_from(in);
 }
+
+ChunkedStreamResult ChunkedEncoder::finish() { return impl_->finish(); }
+
+ChunkedStreamResult compress_chunked_stream(
+    ByteSource& in, ByteSink& out, sz::DType dtype, const Dims& dims,
+    const sz::Params& params, core::Scheme scheme, BytesView key,
+    const core::CipherSpec& spec, const ChunkedConfig& config,
+    crypto::CtrDrbg* seed_drbg) {
+  ChunkedEncoder enc(out, dtype, dims, params, scheme, key, spec, config,
+                     seed_drbg);
+  while (enc.feed_from(in) > 0) {
+  }
+  return enc.finish();
+}
+
+namespace {
 
 template <typename T>
 ChunkedCompressResult compress_chunked_impl(std::span<const T> data,
@@ -383,13 +519,14 @@ ChunkedCompressResult compress_chunked_impl(std::span<const T> data,
                                             const ChunkedConfig& config,
                                             crypto::CtrDrbg* seed_drbg) {
   SZSEC_REQUIRE(data.size() == dims.count(), "data size mismatch");
-  MemorySource src(BytesView(reinterpret_cast<const uint8_t*>(data.data()),
-                             data.size() * sizeof(T)));
   MemorySink sink;
   ChunkedConfig mem_config = config;
   mem_config.spool = FrameSpool::Backing::kMemory;
-  ChunkedStreamResult r = compress_stream_impl<T>(
-      src, sink, dims, params, scheme, key, spec, mem_config, seed_drbg);
+  ChunkedEncoder enc(sink, dtype_of<T>(), dims, params, scheme, key, spec,
+                     mem_config, seed_drbg);
+  enc.feed(BytesView(reinterpret_cast<const uint8_t*>(data.data()),
+                     data.size() * sizeof(T)));
+  ChunkedStreamResult r = enc.finish();
   ChunkedCompressResult out;
   out.archive = sink.take();
   out.chunk_count = r.chunk_count;
@@ -399,18 +536,6 @@ ChunkedCompressResult compress_chunked_impl(std::span<const T> data,
 }
 
 }  // namespace
-
-ChunkedStreamResult compress_chunked_stream(
-    ByteSource& in, ByteSink& out, sz::DType dtype, const Dims& dims,
-    const sz::Params& params, core::Scheme scheme, BytesView key,
-    const core::CipherSpec& spec, const ChunkedConfig& config,
-    crypto::CtrDrbg* seed_drbg) {
-  return dtype == sz::DType::kFloat32
-             ? compress_stream_impl<float>(in, out, dims, params, scheme,
-                                           key, spec, config, seed_drbg)
-             : compress_stream_impl<double>(in, out, dims, params, scheme,
-                                            key, spec, config, seed_drbg);
-}
 
 ChunkedCompressResult compress_chunked(std::span<const float> data,
                                        const Dims& dims,
@@ -436,71 +561,62 @@ ChunkedCompressResult compress_chunked(std::span<const double> data,
 
 namespace {
 
-/// Adapters giving the prelude parse one shape over two byte origins.
-/// Both expose the ByteReader getters the parse needs, plus
+/// Thrown by a partial IndexMemReader whose bytes end before the prelude
+/// does: more input may complete it.  Deliberately not an Error, so no
+/// corruption handler can mistake "not yet" for "damaged".  `more` is a
+/// lower bound on the bytes still missing, so a reader can fetch them
+/// without ever reading past a valid prelude.
+struct NeedMoreInput {
+  uint64_t more;
+};
+
+/// The prelude reader: ByteReader getters over buffered bytes, plus
 /// crc_to_here() — the CRC-32 of every byte consumed so far, evaluated
-/// immediately before the declared index CRC is read.
+/// immediately before the declared index CRC is read.  A `partial`
+/// reader serves push-fed decoders: running out of bytes throws
+/// NeedMoreInput, while every other failure is still CorruptError.
 struct IndexMemReader {
-  explicit IndexMemReader(BytesView a) : r(a), archive(a) {}
+  explicit IndexMemReader(BytesView a, bool partial = false)
+      : r(a), archive(a), partial(partial) {}
   ByteReader r;
   BytesView archive;
-  uint8_t get_u8() { return r.get_u8(); }
-  uint32_t get_u32() { return r.get_u32(); }
-  uint64_t get_varint() { return r.get_varint(); }
+  bool partial;
+  uint64_t floor_end = 0;  ///< no valid prelude ends before this offset
+
+  void need(size_t n) const {
+    if (partial && r.remaining() < n) {
+      const uint64_t floor =
+          floor_end > archive.size() ? floor_end - archive.size() : 0;
+      throw NeedMoreInput{std::max<uint64_t>(n - r.remaining(), floor)};
+    }
+  }
+  uint8_t get_u8() {
+    need(1);
+    return r.get_u8();
+  }
+  uint32_t get_u32() {
+    need(sizeof(uint32_t));
+    return r.get_u32();
+  }
+  uint64_t get_varint() {
+    if (partial) {
+      // ByteReader reports truncation only when every remaining byte —
+      // fewer than a varint's 10 — continues the varint.
+      const size_t rem = std::min<size_t>(r.remaining(), 10);
+      size_t i = 0;
+      while (i < rem && (archive[r.pos() + i] & 0x80) != 0) ++i;
+      if (i == r.remaining() && i < 10) need(i + 1);
+    }
+    return r.get_varint();
+  }
   size_t pos() const { return r.pos(); }
   uint32_t crc_to_here() const { return crc32(archive.subspan(0, r.pos())); }
 };
 
-/// Pulls prelude bytes from a ByteSource one at a time (the prelude is
-/// tiny next to the frames), retaining them so crc_to_here() can verify
-/// the index CRC exactly as the in-memory parser does.  Truncation is
-/// CorruptError, matching ByteReader.
-class IndexStreamReader {
- public:
-  explicit IndexStreamReader(ByteSource& src) : src_(src) {}
-
-  uint8_t get_u8() { return next(); }
-  uint32_t get_u32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t{next()} << (8 * i);
-    return v;
-  }
-  uint64_t get_varint() {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      SZSEC_CHECK_FORMAT(shift < 64, "varint too long");
-      const uint8_t b = next();
-      SZSEC_CHECK_FORMAT(shift < 63 || (b & 0xFE) == 0,
-                         "varint overflows 64 bits");
-      v |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-    }
-    return v;
-  }
-  size_t pos() const { return buf_.size(); }
-  uint32_t crc_to_here() const { return crc32(BytesView(buf_)); }
-
- private:
-  uint8_t next() {
-    uint8_t b;
-    SZSEC_CHECK_FORMAT(read_full(src_, std::span<uint8_t>(&b, 1)) == 1,
-                       "truncated archive prelude");
-    buf_.push_back(b);
-    return b;
-  }
-
-  ByteSource& src_;
-  Bytes buf_;
-};
-
-/// The one v3 prelude parser, shared by the in-memory and streaming
-/// decoders (Reader = IndexMemReader | IndexStreamReader).  Entry
-/// offsets stay RELATIVE to body_start here; read_chunk_index
-/// absolutizes them for its callers.
-template <typename Reader>
-ChunkIndex parse_chunk_index(Reader& r) {
+/// The one v3 prelude parser, shared by the in-memory and push-fed
+/// decoders.  Entry offsets stay RELATIVE to body_start here;
+/// read_chunk_index absolutizes them for its callers.
+ChunkIndex parse_chunk_index(IndexMemReader& r) {
   SZSEC_CHECK_FORMAT(r.get_u32() == kChunkedMagic, "bad archive magic");
   SZSEC_CHECK_FORMAT(r.get_u8() == kChunkedVersion,
                      "unsupported archive version");
@@ -521,6 +637,10 @@ ChunkIndex parse_chunk_index(Reader& r) {
   uint64_t expect_rel = 0;
   uint64_t expect_row = 0;
   for (uint64_t i = 0; i < count; ++i) {
+    // Every entry left is four varints of at least a byte each, then the
+    // CRC: a push-fed parse waits for that much before it retries, so a
+    // huge index is re-parsed O(log count) times, not once per push.
+    r.floor_end = r.pos() + 4 * (count - i) + sizeof(uint32_t);
     ChunkEntry e;
     e.offset = r.get_varint();  // relative until body_start is known
     e.frame_len = r.get_varint();
@@ -556,6 +676,7 @@ ChunkIndex read_chunk_index(BytesView archive) {
   for (ChunkEntry& e : out.entries) e.offset += out.body_start;
   return out;
 }
+
 
 Dims chunked_dims(BytesView archive) {
   return read_chunk_index(archive).dims;
@@ -713,28 +834,36 @@ SeekTable read_seek_table(BytesView archive) {
 }
 
 std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
+                               RuntimeCache& runtimes,
                                const std::optional<Dims>& field_dims,
-                               std::span<float> into, Dims& chunk_dims,
-                               PipelineMetrics* times) {
-  if (into.empty()) return "empty destination span";
-  return try_decode_chunk<float>(frame, runtimes, pool, field_dims, into,
-                                 nullptr, chunk_dims, times);
+                               std::optional<sz::DType> dtype,
+                               const core::codec::DecodeOptions& opts) {
+  if (opts.into_f32.empty() && opts.into_f64.empty()) {
+    return "empty destination span";
+  }
+  return decode_chunk(frame.container, frame.row_extent, field_dims, dtype,
+                      runtimes, opts)
+      .error;
 }
 
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
-                               const std::optional<Dims>& field_dims,
-                               std::span<double> into, Dims& chunk_dims,
-                               PipelineMetrics* times) {
-  if (into.empty()) return "empty destination span";
-  return try_decode_chunk<double>(frame, runtimes, pool, field_dims, into,
-                                  nullptr, chunk_dims, times);
+std::vector<std::unique_ptr<WorkerState>> make_worker_states(size_t count,
+                                                             BytesView key) {
+  std::vector<std::unique_ptr<WorkerState>> states;
+  states.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    states.push_back(std::make_unique<WorkerState>(key));
+  }
+  return states;
 }
 
 namespace {
+
+/// Turns a failed chunk decode into the strict decoders' typed error.
+[[noreturn]] void throw_chunk_error(size_t i, const ChunkDecode& d) {
+  const std::string msg = "chunk " + std::to_string(i) + ": " + d.error;
+  if (d.crypto) throw CryptoError(msg);
+  throw CorruptError(msg);
+}
 
 template <typename T>
 std::vector<T> decompress_chunked_impl(BytesView archive, BytesView key,
@@ -744,7 +873,7 @@ std::vector<T> decompress_chunked_impl(BytesView archive, BytesView key,
   std::vector<T> out(index.dims.count());
 
   // Validate every frame before spending any decode time.
-  std::vector<Frame> frames;
+  std::vector<FrameInfo> frames;
   for (size_t i = 0; i < index.entries.size(); ++i) {
     const ChunkEntry& e = index.entries[i];
     // Subtractive: both fields are untrusted varints, the naive sum can
@@ -752,7 +881,7 @@ std::vector<T> decompress_chunked_impl(BytesView archive, BytesView key,
     SZSEC_CHECK_FORMAT(e.offset <= archive.size() &&
                            e.frame_len <= archive.size() - e.offset,
                        "frame extends past archive end");
-    const std::optional<Frame> f = parse_frame_at(archive, e.offset);
+    const std::optional<FrameInfo> f = parse_frame(archive, e.offset);
     SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
     SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
                            f->row_extent == e.row_extent &&
@@ -769,33 +898,26 @@ std::vector<T> decompress_chunked_impl(BytesView archive, BytesView key,
   ParallelChunkScheduler sched(
       ChunkSchedulerConfig{config.threads, config.max_in_flight});
   const auto workers = make_worker_states(sched.thread_count(), key);
-  struct ChunkDecode {
-    std::string error;
-    bool crypto = false;
-    PipelineMetrics times;
-  };
   sched.run_ordered<ChunkDecode>(
       frames.size(),
       [&](size_t worker, size_t i) {
+        core::codec::DecodeOptions opts;
+        opts.pool = &workers[worker]->scratch;
         const std::span<T> slice =
             std::span<T>(out).subspan(frames[i].row_start * plane,
                                       frames[i].row_extent * plane);
-        Dims chunk_dims;
-        ChunkDecode d;
-        d.error = try_decode_chunk<T>(
-            frames[i], workers[worker]->runtimes,
-            &workers[worker]->scratch, index.dims, slice, nullptr,
-            chunk_dims, &d.times, &d.crypto);
-        return d;
+        if constexpr (std::is_same_v<T, float>) {
+          opts.into_f32 = slice;
+        } else {
+          opts.into_f64 = slice;
+        }
+        return decode_chunk(frames[i].container, frames[i].row_extent,
+                            index.dims, dtype_of<T>(),
+                            workers[worker]->runtimes, opts);
       },
       [&](size_t i, ChunkDecode&& d) {
-        if (!d.error.empty()) {
-          const std::string msg =
-              "chunk " + std::to_string(i) + ": " + d.error;
-          if (d.crypto) throw CryptoError(msg);
-          throw CorruptError(msg);
-        }
-        if (config.metrics != nullptr) config.metrics->merge(d.times);
+        if (!d.error.empty()) throw_chunk_error(i, d);
+        if (config.metrics != nullptr) config.metrics->merge(d.r.times);
       });
   return out;
 }
@@ -812,137 +934,188 @@ std::vector<double> decompress_chunked_f64(BytesView archive, BytesView key,
   return decompress_chunked_impl<double>(archive, key, config);
 }
 
+/// The one streaming strict decoder: buffers pushed bytes until the
+/// prelude parses, then cuts frames densely in index order (their
+/// lengths come from the index) and decodes them on the scheduler,
+/// writing each chunk's rows to the sink as it commits.  Bytes after the
+/// last indexed frame (a seek footer) are ignored.
+struct ChunkedDecoder::Impl {
+  Impl(ByteSink& sink, BytesView key, const ChunkedConfig& config)
+      : out(sink),
+        metrics(config.metrics),
+        sched(ChunkSchedulerConfig{config.threads, config.max_in_flight}),
+        workers(make_worker_states(sched.thread_count(), key)),
+        run(
+            sched,
+            [this](size_t worker, size_t i, Bytes&& frame) {
+              return produce(worker, i, std::move(frame));
+            },
+            [this](size_t i, ChunkDecode&& d) { commit(i, std::move(d)); }) {}
+
+  ChunkDecode produce(size_t worker, size_t i, Bytes&& frame) {
+    const ChunkEntry& e = index->entries[i];
+    const std::optional<FrameInfo> f = parse_frame(BytesView(frame), 0);
+    SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
+    SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
+                           f->row_extent == e.row_extent &&
+                           f->frame_len == e.frame_len,
+                       "frame disagrees with index");
+    SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
+    // Decode failures are error *values* (the commit turns them into
+    // "chunk i: reason"), matching the in-memory strict decoder.  The
+    // dtype is checked at commit, against the first chunk's.
+    core::codec::DecodeOptions opts;
+    opts.pool = &workers[worker]->scratch;
+    Bytes rows = rows_pool.acquire();
+    ChunkDecode d = decode_chunk(f->container, f->row_extent, index->dims,
+                                 std::nullopt, workers[worker]->runtimes,
+                                 opts, &rows);
+    d.rows = std::move(rows);
+    frame_pool.release(std::move(frame));
+    return d;
+  }
+
+  void commit(size_t i, ChunkDecode&& d) {
+    if (!d.error.empty()) throw_chunk_error(i, d);
+    if (!dtype_set) {
+      res.dtype = d.r.dtype;
+      dtype_set = true;
+    } else if (d.r.dtype != res.dtype) {
+      throw CorruptError("chunk " + std::to_string(i) +
+                         ": container dtype mismatch");
+    }
+    out.write(BytesView(d.rows));
+    res.elements += d.rows.size() / sz::dtype_size(d.r.dtype);
+    res.element_bytes += d.rows.size();
+    if (metrics != nullptr) metrics->merge(d.r.times);
+    rows_pool.release(std::move(d.rows));
+  }
+
+  uint64_t wanted() const {
+    return index ? body_left : prelude_ready_at - prelude.size();
+  }
+
+  void feed(BytesView in) {
+    if (!index) {
+      prelude.insert(prelude.end(), in.begin(), in.end());
+      if (prelude.size() < prelude_ready_at) return;
+      try {
+        IndexMemReader r(BytesView(prelude), /*partial=*/true);
+        index = parse_chunk_index(r);
+      } catch (const NeedMoreInput& e) {
+        prelude_ready_at = prelude.size() + e.more;
+        return;
+      }
+      res.dims = index->dims;
+      res.chunk_count = index->entries.size();
+      // Frames are dense: the archive's indexed bytes end after the sum
+      // of the (untrusted, so saturating) frame lengths.
+      for (const ChunkEntry& e : index->entries) {
+        body_left = e.frame_len > ~uint64_t{0} - body_left
+                        ? ~uint64_t{0}
+                        : body_left + e.frame_len;
+      }
+      cut_frames(BytesView(prelude).subspan(index->body_start));
+      prelude = Bytes{};
+      return;
+    }
+    cut_frames(in);
+  }
+
+  void cut_frames(BytesView in) {
+    while (!in.empty() && run.pushed() < index->entries.size()) {
+      const ChunkEntry& e = index->entries[run.pushed()];
+      // frame_len is an untrusted varint (only > 0 at index parse) and a
+      // stream has no known total size to bound it against: never
+      // allocate it upfront — a forged index naming ~2^64 would turn
+      // the reservation into an untyped std::length_error/bad_alloc.
+      // The buffer grows only with bytes actually pushed.
+      constexpr uint64_t kFrameReserveCap = uint64_t{4} << 20;
+      if (frame.empty()) {
+        frame = frame_pool.acquire(static_cast<size_t>(
+            std::min<uint64_t>(e.frame_len, kFrameReserveCap)));
+      }
+      const size_t n = static_cast<size_t>(
+          std::min<uint64_t>(e.frame_len - frame.size(), in.size()));
+      frame.insert(frame.end(), in.begin(), in.begin() + n);
+      in = in.subspan(n);
+      body_left -= n;
+      if (frame.size() == e.frame_len) run.push(std::exchange(frame, Bytes{}));
+    }
+  }
+
+  ChunkedStreamDecodeResult finish() {
+    if (!index) {
+      // The last feeds may have stopped short of the next parse attempt:
+      // damage in the bytes that did arrive still reports as itself.
+      try {
+        IndexMemReader r(BytesView(prelude), /*partial=*/true);
+        parse_chunk_index(r);
+      } catch (const NeedMoreInput&) {
+      }
+      SZSEC_CHECK_FORMAT(false, "truncated archive prelude");
+    }
+    run.finish();
+    SZSEC_CHECK_FORMAT(run.pushed() == index->entries.size(),
+                       "frame extends past archive end");
+    out.flush();
+    return res;
+  }
+
+  ByteSink& out;
+  PipelineMetrics* metrics;
+  ParallelChunkScheduler sched;
+  const std::vector<std::unique_ptr<WorkerState>> workers;
+  BufferPool frame_pool;
+  BufferPool rows_pool;
+  Bytes prelude;  ///< pushed bytes buffered until the index parses
+  uint64_t prelude_ready_at = sizeof(uint32_t);  ///< next parse attempt
+  std::optional<ChunkIndex> index;
+  uint64_t body_left = 0;  ///< indexed frame bytes not yet pushed
+  Bytes frame;  ///< the frame being cut
+  ChunkedStreamDecodeResult res;
+  bool dtype_set = false;
+  /// Last member: destroyed first (see ChunkedEncoder::Impl::run).
+  ParallelChunkScheduler::OrderedRun<Bytes, ChunkDecode> run;
+};
+
+ChunkedDecoder::ChunkedDecoder(ByteSink& out, BytesView key,
+                               const ChunkedConfig& config)
+    : impl_(std::make_unique<Impl>(out, key, config)) {}
+
+ChunkedDecoder::~ChunkedDecoder() = default;
+
+uint64_t ChunkedDecoder::wanted() const { return impl_->wanted(); }
+
+void ChunkedDecoder::feed(BytesView in) { impl_->feed(in); }
+
+bool ChunkedDecoder::poll(bool wait) { return impl_->run.commit_one(wait); }
+
+ChunkedStreamDecodeResult ChunkedDecoder::finish() { return impl_->finish(); }
+
 ChunkedStreamDecodeResult decompress_chunked_stream(
     ByteSource& in, ByteSink& out, BytesView key,
     const ChunkedConfig& config) {
-  // Prelude first (byte-at-a-time, tolerant of any short-read schedule);
-  // frames then arrive densely in index order, so the feed can cut the
-  // stream into frames from the index's lengths alone.
-  IndexStreamReader reader(in);
-  const ChunkIndex index = parse_chunk_index(reader);
-
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{config.threads, config.max_in_flight});
-  const auto workers = make_worker_states(sched.thread_count(), key);
-  BufferPool frame_pool;
-
-  ChunkedStreamDecodeResult res;
-  res.dims = index.dims;
-  bool dtype_set = false;
-
-  struct FrameInput {
-    Bytes frame;
-  };
-  struct ChunkDecode {
-    std::string error;  ///< decode failure; framing errors throw instead
-    bool crypto = false;  ///< failure was a MAC/cipher rejection
-    core::DecompressResult r;
-  };
-
-  sched.run_ordered_fed<FrameInput, ChunkDecode>(
-      index.entries.size(),
-      [&](size_t i) {
-        const ChunkEntry& e = index.entries[i];
-        // frame_len is an untrusted varint (only > 0 at index parse) and
-        // the stream has no known total size to bound it against: never
-        // allocate it upfront — a forged index naming ~2^64 would turn
-        // vector::resize into an untyped std::length_error/bad_alloc.
-        // Read in bounded blocks instead; a stream that ends first
-        // surfaces the same typed error having allocated no more than
-        // the bytes actually present plus one block.
-        constexpr uint64_t kFrameReadBlock = uint64_t{4} << 20;
-        FrameInput fi{frame_pool.acquire(static_cast<size_t>(
-            std::min<uint64_t>(e.frame_len, kFrameReadBlock)))};
-        uint64_t got = 0;
-        while (got < e.frame_len) {
-          const size_t step = static_cast<size_t>(
-              std::min<uint64_t>(e.frame_len - got, kFrameReadBlock));
-          fi.frame.resize(static_cast<size_t>(got) + step);
-          SZSEC_CHECK_FORMAT(
-              read_full(in, std::span<uint8_t>(fi.frame)
-                                .subspan(static_cast<size_t>(got))) == step,
-              "frame extends past archive end");
-          got += step;
-        }
-        return fi;
-      },
-      [&](size_t worker, size_t i, FrameInput&& fi) {
-        const ChunkEntry& e = index.entries[i];
-        const std::optional<Frame> f =
-            parse_frame_at(BytesView(fi.frame), 0);
-        SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
-        SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
-                               f->row_extent == e.row_extent &&
-                               f->frame_len == e.frame_len,
-                           "frame disagrees with index");
-        SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
-        // Decode failures are error *values* (the commit turns them into
-        // "chunk i: reason"), matching the in-memory strict decoder.
-        ChunkDecode d;
-        try {
-          const core::Header h = core::peek_header(f->container);
-          if (h.dims[0] != f->row_extent) {
-            d.error = "container rows != frame rows";
-          } else if (h.dims.rank() != index.dims.rank()) {
-            d.error = "rank mismatch";
-          } else {
-            for (size_t k = 1; k < h.dims.rank(); ++k) {
-              if (h.dims[k] != index.dims[k]) d.error = "plane dims mismatch";
-            }
-          }
-          if (d.error.empty()) {
-            core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
-            spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
-            const CodecRuntime& runtime =
-                workers[worker]->runtimes.get(h.params, h.scheme, spec);
-            core::codec::DecodeOptions opts;
-            opts.pool = &workers[worker]->scratch;
-            d.r = core::codec::decode_payload(runtime.config(),
-                                              f->container, opts);
-          }
-        } catch (const CryptoError& ex) {
-          d.crypto = true;
-          d.error = ex.what();
-        } catch (const Error& ex) {
-          d.error = ex.what();
-        }
-        frame_pool.release(std::move(fi.frame));
-        return d;
-      },
-      [&](size_t i, ChunkDecode&& d) {
-        if (!d.error.empty()) {
-          const std::string msg =
-              "chunk " + std::to_string(i) + ": " + d.error;
-          if (d.crypto) throw CryptoError(msg);
-          throw CorruptError(msg);
-        }
-        if (!dtype_set) {
-          res.dtype = d.r.dtype;
-          dtype_set = true;
-        } else if (d.r.dtype != res.dtype) {
-          throw CorruptError("chunk " + std::to_string(i) +
-                             ": container dtype mismatch");
-        }
-        const BytesView bytes =
-            d.r.dtype == sz::DType::kFloat32
-                ? BytesView(reinterpret_cast<const uint8_t*>(d.r.f32.data()),
-                            d.r.f32.size() * sizeof(float))
-                : BytesView(reinterpret_cast<const uint8_t*>(d.r.f64.data()),
-                            d.r.f64.size() * sizeof(double));
-        out.write(bytes);
-        res.elements += d.r.dtype == sz::DType::kFloat32 ? d.r.f32.size()
-                                                         : d.r.f64.size();
-        res.element_bytes += bytes.size();
-        if (config.metrics != nullptr) config.metrics->merge(d.r.times);
-      });
-  out.flush();
-  return res;
+  ChunkedDecoder dec(out, key, config);
+  Bytes block(kStreamBlock);
+  while (dec.wanted() > 0) {
+    // Never read past the archive's indexed bytes: whatever follows in
+    // the source (a seek footer, the next message) stays unread.
+    const size_t n = in.read(std::span<uint8_t>(block).first(
+        static_cast<size_t>(std::min<uint64_t>(block.size(), dec.wanted()))));
+    if (n == 0) break;
+    dec.feed(BytesView(block.data(), n));
+    while (dec.poll()) {
+    }
+  }
+  return dec.finish();
 }
 
 namespace {
 
-template <typename T>
-std::vector<T>& salvage_field(SalvageResult& out) {
+/// The f32 or f64 element vector of a SalvageResult / DecompressResult.
+template <typename T, typename R>
+std::vector<T>& salvage_field(R& out) {
   if constexpr (std::is_same_v<T, float>) {
     return out.f32;
   } else {
@@ -978,7 +1151,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   // full resync scan then rescues chunks whose offsets no longer hold
   // (insertion, deletion, reordering) or, without an index, finds
   // everything we will ever know about.
-  std::map<uint64_t, Frame> found;          // id -> CRC-valid frame
+  std::map<uint64_t, FrameInfo> found;          // id -> CRC-valid frame
   std::map<uint64_t, bool> relocated;       // id -> found via scan
   std::map<uint64_t, std::string> failure;  // id -> latest reason
   std::map<uint64_t, uint64_t> located_bad; // id -> damaged frame's length
@@ -991,7 +1164,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
         failure[i] = "frame offset past the frame region (truncated?)";
         continue;
       }
-      const std::optional<Frame> f = parse_frame_at(archive, e.offset);
+      const std::optional<FrameInfo> f = parse_frame(archive, e.offset);
       if (!f) {
         failure[i] = "no valid frame at indexed offset";
         located_bad[i] = e.frame_len;
@@ -1022,7 +1195,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   if (need_scan) {
     for (size_t pos = find_marker(archive, 0); pos < archive.size();
          pos = find_marker(archive, pos)) {
-      const std::optional<Frame> f = parse_frame_at(archive, pos);
+      const std::optional<FrameInfo> f = parse_frame(archive, pos);
       if (!f || !f->crc_ok) {
         ++pos;  // false positive or damaged frame: keep scanning
         continue;
@@ -1062,15 +1235,10 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   // exception, so one bad worker result cannot abort the salvage.
   // Commits arrive in chunk-id order, keeping the report and the
   // first-come row-claiming below deterministic.
-  std::vector<std::pair<uint64_t, const Frame*>> jobs;
+  std::vector<std::pair<uint64_t, const FrameInfo*>> jobs;
   jobs.reserve(found.size());
   for (auto& [id, f] : found) jobs.emplace_back(id, &f);
 
-  struct SalvageDecode {
-    std::string error;
-    Dims chunk_dims;
-    std::vector<T> data;
-  };
   ParallelChunkScheduler sched(ChunkSchedulerConfig{opts.threads, 0});
   const auto workers = make_worker_states(sched.thread_count(), key);
   std::vector<Decoded> decoded;
@@ -1080,25 +1248,24 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
   // from the first decodable chunk at commit time instead (plane checks
   // for later chunks then happen in the commit).
   const std::optional<Dims> produce_dims = field_dims;
-  sched.run_ordered<SalvageDecode>(
+  sched.run_ordered<ChunkDecode>(
       jobs.size(),
       [&](size_t worker, size_t j) {
-        SalvageDecode d;
-        d.error = try_decode_chunk<T>(
-            *jobs[j].second, workers[worker]->runtimes,
-            &workers[worker]->scratch, produce_dims, std::span<T>{},
-            &d.data, d.chunk_dims);
-        return d;
+        core::codec::DecodeOptions dopts;
+        dopts.pool = &workers[worker]->scratch;
+        return decode_chunk(jobs[j].second->container,
+                            jobs[j].second->row_extent, produce_dims,
+                            dtype_of<T>(), workers[worker]->runtimes, dopts);
       },
-      [&](size_t j, SalvageDecode&& d) {
+      [&](size_t j, ChunkDecode&& d) {
         const uint64_t id = jobs[j].first;
-        const Frame& f = *jobs[j].second;
+        const FrameInfo& f = *jobs[j].second;
         if (d.error.empty() && !produce_dims && field_dims) {
-          if (d.chunk_dims.rank() != field_dims->rank()) {
+          if (d.dims.rank() != field_dims->rank()) {
             d.error = "rank mismatch";
           } else {
-            for (size_t i = 1; i < d.chunk_dims.rank(); ++i) {
-              if (d.chunk_dims[i] != (*field_dims)[i]) {
+            for (size_t i = 1; i < d.dims.rank(); ++i) {
+              if (d.dims[i] != (*field_dims)[i]) {
                 d.error = "plane dims mismatch";
               }
             }
@@ -1111,11 +1278,12 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
         if (!field_dims) {
           // Scan-only recovery: plane dims come from the chunk itself;
           // the slowest extent is completed below from row coverage.
-          field_dims = d.chunk_dims;
+          field_dims = d.dims;
         }
         max_row_end = std::max(max_row_end, f.row_start + f.row_extent);
+        std::vector<T>& data = salvage_field<T>(d.r);
         decoded.push_back(Decoded{id, f.row_start, f.row_extent,
-                                  f.frame_len, std::move(d.data)});
+                                  f.frame_len, std::move(data)});
       });
 
   if (!field_dims) {
@@ -1227,25 +1395,8 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
     rep.bytes_skipped =
         archive.size() > accounted ? archive.size() - accounted : 0;
   } else {
-    uint64_t next_gap_id = 0;
-    uint64_t row = 0;
-    for (auto& [id, d] : placed) {
-      if (d->row_start > row) {
-        rep.chunks.push_back(ChunkReport{
-            next_gap_id, ChunkStatus::kMissing, row, d->row_start - row, 0,
-            "no frame found for these rows"});
-      }
-      ChunkReport cr;
-      cr.chunk_id = id;
-      cr.status = ChunkStatus::kRelocated;
-      cr.row_start = d->row_start;
-      cr.row_extent = d->row_extent;
-      cr.frame_bytes = d->frame_len;
-      rep.chunks.push_back(std::move(cr));
-      next_gap_id = id + 1;
-      row = d->row_start + d->row_extent;
-    }
-    rep.chunks_expected = rep.chunks.size();
+    report_scan_only(rep, placed,
+                     [](const Decoded* d) -> const Decoded& { return *d; });
     const uint64_t accounted = frame_bytes_recovered + footer_suffix;
     rep.bytes_skipped =
         archive.size() > accounted ? archive.size() - accounted : 0;
@@ -1267,60 +1418,44 @@ SalvageResult decompress_salvage_f64(BytesView archive, BytesView key,
 
 namespace {
 
-/// Sliding window over a ByteSource for the single-pass salvage scan:
-/// bytes are retained from `start()` (absolute stream offset) to
+/// Sliding window over pushed archive bytes for the single-pass salvage
+/// scan: bytes are retained from `start()` (absolute stream offset) to
 /// `end()`; the scanner drops everything behind its position, so the
-/// window holds at most one frame plus scan slack at any moment.
+/// window holds at most one frame plus scan slack beyond one push.
 class ScanWindow {
  public:
-  explicit ScanWindow(ByteSource& src) : src_(src) {}
+  void append(BytesView in) { buf_.insert(buf_.end(), in.begin(), in.end()); }
+  void close() { eof_ = true; }
 
-  /// Extends the window to cover absolute offsets [start(), abs_end);
-  /// returns false when the stream ends first.
-  bool ensure(uint64_t abs_end) {
-    if (abs_end <= end()) return true;
-    if (eof_) return false;
-    const size_t need = static_cast<size_t>(abs_end - end());
-    const size_t old = buf_.size();
-    buf_.resize(old + need);
-    const size_t got =
-        read_full(src_, std::span<uint8_t>(buf_).subspan(old));
-    buf_.resize(old + got);
-    if (got < need) eof_ = true;
-    return abs_end <= end();
-  }
+  /// True when the window covers absolute offsets up to `abs_end`.  A
+  /// scan step that is short of bytes before end-of-input suspends and
+  /// resumes at the same position once more bytes arrive.
+  bool ensure(uint64_t abs_end) const { return abs_end <= end(); }
 
-  /// Pulls up to `n` more bytes into the window (marker scanning reads
-  /// ahead in blocks); returns the bytes actually added.
-  size_t fill_more(size_t n) {
-    if (eof_) return 0;
-    const size_t old = buf_.size();
-    buf_.resize(old + n);
-    const size_t got =
-        read_full(src_, std::span<uint8_t>(buf_).subspan(old));
-    buf_.resize(old + got);
-    if (got < n) eof_ = true;
-    return got;
-  }
-
-  BytesView view() const { return BytesView(buf_); }
+  BytesView view() const { return BytesView(buf_).subspan(head_); }
   uint64_t start() const { return start_; }
-  uint64_t end() const { return start_ + buf_.size(); }
+  uint64_t end() const { return start_ + (buf_.size() - head_); }
   bool eof() const { return eof_; }
 
-  /// Forgets window bytes before absolute offset `abs`.
+  /// Forgets window bytes before absolute offset `abs`.  The storage is
+  /// compacted only once the forgotten prefix outweighs the rest, so a
+  /// push holding many small frames costs linear time, not quadratic.
   void drop_before(uint64_t abs) {
     if (abs <= start_) return;
-    const size_t n =
-        std::min(static_cast<size_t>(abs - start_), buf_.size());
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(n));
+    const size_t n = std::min(static_cast<size_t>(abs - start_),
+                              buf_.size() - head_);
+    head_ += n;
     start_ += n;
+    if (head_ > buf_.size() / 2) {
+      buf_.erase(buf_.begin(),
+                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
   }
 
  private:
-  ByteSource& src_;
   Bytes buf_;
+  size_t head_ = 0;  ///< buf_ bytes already dropped
   uint64_t start_ = 0;
   bool eof_ = false;
 };
@@ -1331,104 +1466,34 @@ constexpr size_t kFrameHeadMax = kMarkerSize + 4 * 10 + sizeof(uint32_t);
 /// a marker false-positive — the window (and therefore RSS) never grows
 /// past one such cap during salvage.
 constexpr uint64_t kMaxStreamContainer = uint64_t{1} << 31;
-/// The prelude retry loop stops growing the window here; a (legitimate)
+/// The prelude parse gives up past this many bytes; a (legitimate)
 /// index larger than this degrades to scan-only recovery.
 constexpr size_t kMaxStreamPrelude = size_t{16} << 20;
-/// Read-ahead block while hunting for the next resync marker.
+/// Read-ahead block of the blocking salvage loop.
 constexpr size_t kScanBlock = size_t{256} << 10;
-
-struct FrameHead {
-  uint64_t chunk_id = 0;
-  uint64_t row_start = 0;
-  uint64_t row_extent = 0;
-  uint64_t container_len = 0;
-  uint32_t crc = 0;
-  size_t head_len = 0;  ///< marker byte 0 .. container byte 0
-};
-
-/// Parses the frame header whose marker starts `v`; nullopt when the
-/// bytes are malformed or implausible (same caps as parse_frame_at,
-/// plus the streaming container-length cap).
-std::optional<FrameHead> parse_frame_head(BytesView v) {
-  try {
-    ByteReader r(v);
-    if (r.get_u64() != kResyncMarker) return std::nullopt;
-    FrameHead h;
-    h.chunk_id = r.get_varint();
-    h.row_start = r.get_varint();
-    h.row_extent = r.get_varint();
-    h.container_len = r.get_varint();
-    h.crc = r.get_u32();
-    h.head_len = r.pos();
-    if (h.chunk_id > kMaxExtent || h.row_start > kMaxExtent ||
-        h.row_extent == 0 || h.row_extent > kMaxExtent ||
-        h.container_len > kMaxStreamContainer) {
-      return std::nullopt;
-    }
-    return h;
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
 
 }  // namespace
 
-ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
-                                                  ByteSink& out,
-                                                  BytesView key,
-                                                  const SalvageOptions& opts) {
-  SZSEC_REQUIRE(opts.fill != FallbackFill::kMean,
-                "streaming salvage cannot compute a mean fill in one "
-                "pass; use kZeros or kNaN");
-  ChunkedStreamSalvageResult res;
-  SalvageReport& rep = res.report;
-  ScanWindow win(in);
-
-  // Attempt a strict prelude parse over a growing window: truncation
-  // failures retry with more bytes, genuine corruption keeps failing and
-  // falls through to scan-only recovery (the buffered bytes stay in the
-  // window, so no frame hiding in a damaged prelude is lost).
-  std::optional<ChunkIndex> index;
-  for (size_t want = 4096;; want *= 2) {
-    win.ensure(want);
-    try {
-      IndexMemReader r(win.view());
-      ChunkIndex idx = parse_chunk_index(r);
-      for (ChunkEntry& e : idx.entries) e.offset += idx.body_start;
-      index = std::move(idx);
-      break;
-    } catch (const Error&) {
-      if (win.eof() || want >= kMaxStreamPrelude) break;
-    }
-  }
-  rep.index_intact = index.has_value();
-
-  // Serial decode state: one runtime cache + scratch pool (the pass is
-  // single-threaded by design — ordered emission is the whole point).
-  RuntimeCache runtimes(key);
-  BufferPool scratch;
-
+/// The one streaming salvage: a resumable scan over pushed bytes.  Every
+/// decision depends only on the bytes up to the scan position (plus a
+/// bounded look-ahead that is awaited, not guessed), so the outcome is
+/// the same however the input is split into pushes.
+struct ChunkedSalvager::Impl {
   struct Placed {
     ChunkStatus status;
     uint64_t row_start;
     uint64_t row_extent;
     uint64_t frame_len;
   };
-  std::map<uint64_t, Placed> placed;
-  std::map<uint64_t, std::string> failure;
-  uint64_t rows_done = 0;
-  uint64_t frame_bytes_recovered = 0;
-  bool have_dtype = false;
-  size_t elem_size = 0;
-  std::optional<Dims> field_dims;
-  size_t plane = 0;
-  if (index) {
-    field_dims = index->dims;
-    plane = index->dims.count() / index->dims[0];
-  }
-  Bytes fill_row;  // one row of fill values, built when dtype is known
 
-  const auto build_fill_row = [&] {
+  Impl(ByteSink& sink, BytesView key, const SalvageOptions& opts)
+      : out(sink), opts(opts), runtimes(key) {
+    SZSEC_REQUIRE(opts.fill != FallbackFill::kMean,
+                  "streaming salvage cannot compute a mean fill in one "
+                  "pass; use kZeros or kNaN");
+  }
+
+  void build_fill_row() {
     fill_row.assign(plane * elem_size, 0);
     if (opts.fill == FallbackFill::kNaN) {
       if (res.dtype == sz::DType::kFloat32) {
@@ -1443,142 +1508,151 @@ ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
         }
       }
     }
-  };
-  const auto emit_fill_rows = [&](uint64_t rows) {
+  }
+
+  void emit_fill_rows(uint64_t rows) {
     for (uint64_t i = 0; i < rows; ++i) out.write(BytesView(fill_row));
-  };
+  }
 
-  uint64_t pos = index ? index->body_start : 0;
-  win.drop_before(pos);
-
-  while (true) {
-    // Hunt for the next marker, reading ahead block by block and keeping
-    // only a marker-sized tail of unmatched bytes.
-    size_t rel = find_marker(win.view(),
-                             static_cast<size_t>(pos - win.start()));
-    while (win.start() + rel >= win.end() && !win.eof()) {
-      if (win.end() >= kMarkerSize) {
-        win.drop_before(win.end() - (kMarkerSize - 1));
-      }
-      win.fill_more(kScanBlock);
-      rel = find_marker(win.view(), 0);
+  /// Attempts a strict prelude parse over the buffered bytes: running
+  /// out of bytes waits for more (up to kMaxStreamPrelude or the end of
+  /// input), genuine corruption falls through to scan-only recovery at
+  /// once (the buffered bytes stay in the window, so no frame hiding in
+  /// a damaged prelude is lost).  Returns false while waiting.
+  bool parse_prelude() {
+    const BytesView v = win.view();
+    if (!win.eof() && v.size() < prelude_ready_at) return false;
+    try {
+      IndexMemReader r(v.first(std::min(v.size(), kMaxStreamPrelude)),
+                       /*partial=*/true);
+      ChunkIndex idx = parse_chunk_index(r);
+      for (ChunkEntry& e : idx.entries) e.offset += idx.body_start;
+      index = std::move(idx);
+    } catch (const NeedMoreInput& e) {
+      prelude_ready_at = std::min<uint64_t>(v.size() + e.more,
+                                            kMaxStreamPrelude);
+      if (!win.eof() && v.size() < kMaxStreamPrelude) return false;
+    } catch (const Error&) {
     }
-    if (win.start() + rel >= win.end()) break;  // stream exhausted
-    pos = win.start() + rel;
-
-    win.ensure(pos + kFrameHeadMax);
-    const std::optional<FrameHead> fh =
-        parse_frame_head(win.view().subspan(
-            static_cast<size_t>(pos - win.start())));
-    if (!fh) {
-      ++pos;
-      continue;
-    }
+    prelude_done = true;
+    res.report.index_intact = index.has_value();
     if (index) {
-      // The CRC-protected index is authoritative: a scanned frame may
-      // only stand in for the chunk id it claims, at that id's rows.
-      if (fh->chunk_id >= index->entries.size() ||
-          index->entries[fh->chunk_id].row_start != fh->row_start ||
-          index->entries[fh->chunk_id].row_extent != fh->row_extent) {
-        pos += kMarkerSize;
+      field_dims = index->dims;
+      plane = index->dims.count() / index->dims[0];
+      pos = index->body_start;
+      win.drop_before(pos);
+    }
+    return true;
+  }
+
+  /// Runs the scan as far as the buffered bytes allow (to the end once
+  /// the input is closed).
+  void scan() {
+    if (!prelude_done && !parse_prelude()) return;
+    while (true) {
+      // Hunt for the next marker.  Short of one before end-of-input:
+      // keep only a marker-sized tail of unmatched bytes and suspend.
+      const size_t rel =
+          find_marker(win.view(), static_cast<size_t>(pos - win.start()));
+      if (win.start() + rel >= win.end()) {
+        if (win.eof()) return;  // input exhausted
+        if (win.end() >= kMarkerSize) {
+          pos = std::max(pos, win.end() - (kMarkerSize - 1));
+        }
+        win.drop_before(pos);
+        return;
+      }
+      pos = win.start() + rel;
+      if (!win.ensure(pos + kFrameHeadMax) && !win.eof()) {
+        win.drop_before(pos);
+        return;
+      }
+      const std::optional<FrameHead> fh =
+          parse_frame_head(win.view().subspan(
+              static_cast<size_t>(pos - win.start())));
+      if (!fh || fh->container_len > kMaxStreamContainer) {
+        ++pos;
         continue;
       }
-    }
-    const uint64_t frame_len = fh->head_len + fh->container_len;
-    if (!win.ensure(pos + frame_len)) {
-      ++pos;  // stream ends inside this frame: scan what remains
-      continue;
-    }
-    const BytesView container = win.view().subspan(
-        static_cast<size_t>(pos - win.start()) + fh->head_len,
-        static_cast<size_t>(fh->container_len));
-    if (crc32(container) != fh->crc) {
-      ++pos;  // damaged frame: keep scanning inside it
-      continue;
-    }
-    if (placed.count(fh->chunk_id) != 0) {
-      pos += frame_len;  // duplicate of an already-recovered chunk
-      win.drop_before(pos);
-      continue;
-    }
-
-    // CRC-valid frame for a new chunk: decode, then emit in order.
-    std::string err;
-    core::DecompressResult dr;
-    Dims chunk_dims;
-    try {
-      const core::Header h = core::peek_header(container);
-      if (h.dims[0] != fh->row_extent) {
-        err = "container rows != frame rows";
-      } else if (field_dims && h.dims.rank() != field_dims->rank()) {
-        err = "rank mismatch";
-      } else if (field_dims) {
-        for (size_t k = 1; k < h.dims.rank(); ++k) {
-          if (h.dims[k] != (*field_dims)[k]) err = "plane dims mismatch";
+      if (index) {
+        // The CRC-protected index is authoritative: a scanned frame may
+        // only stand in for the chunk id it claims, at that id's rows.
+        if (fh->chunk_id >= index->entries.size() ||
+            index->entries[fh->chunk_id].row_start != fh->row_start ||
+            index->entries[fh->chunk_id].row_extent != fh->row_extent) {
+          pos += kMarkerSize;
+          continue;
         }
       }
-      if (err.empty() && have_dtype && h.dtype != res.dtype) {
-        err = "container dtype mismatch";
+      const uint64_t frame_len = fh->head_len + fh->container_len;
+      if (!win.ensure(pos + frame_len)) {
+        if (!win.eof()) {
+          win.drop_before(pos);
+          return;
+        }
+        ++pos;  // input ends inside this frame: scan what remains
+        continue;
       }
-      if (err.empty()) {
-        core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
-        spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
-        const CodecRuntime& runtime =
-            runtimes.get(h.params, h.scheme, spec);
-        core::codec::DecodeOptions dopts;
-        dopts.pool = &scratch;
-        dr = core::codec::decode_payload(runtime.config(), container,
-                                         dopts);
-        chunk_dims = h.dims;
+      const BytesView container = win.view().subspan(
+          static_cast<size_t>(pos - win.start()) + fh->head_len,
+          static_cast<size_t>(fh->container_len));
+      if (crc32(container) != fh->crc) {
+        ++pos;  // damaged frame: keep scanning inside it
+        continue;
       }
-    } catch (const Error& ex) {
-      err = ex.what();
-    }
-    if (err.empty() && fh->row_start < rows_done) {
-      err = "rows precede already-emitted rows (single-pass order)";
-    }
-    if (!err.empty()) {
-      failure[fh->chunk_id] = err;
+      if (placed.count(fh->chunk_id) == 0) take_frame(*fh, container);
+      // Recovered, rejected, or a duplicate of an already-recovered
+      // chunk: the scan resumes after the CRC-valid frame either way.
       pos += frame_len;
       win.drop_before(pos);
-      continue;
     }
+  }
 
+  /// A CRC-valid frame for a new chunk: decode, then emit in order.
+  void take_frame(const FrameHead& fh, BytesView container) {
+    const uint64_t frame_len = fh.head_len + fh.container_len;
+    core::codec::DecodeOptions dopts;
+    dopts.pool = &scratch;
+    ChunkDecode d = decode_chunk(
+        container, fh.row_extent, field_dims,
+        have_dtype ? std::optional<sz::DType>(res.dtype) : std::nullopt,
+        runtimes, dopts, &rows);
+    if (d.error.empty() && fh.row_start < rows_done) {
+      d.error = "rows precede already-emitted rows (single-pass order)";
+    }
+    if (!d.error.empty()) {
+      failure[fh.chunk_id] = d.error;
+      return;
+    }
     if (!have_dtype) {
-      res.dtype = dr.dtype;
-      elem_size = dr.dtype == sz::DType::kFloat32 ? sizeof(float)
-                                                  : sizeof(double);
+      res.dtype = d.r.dtype;
+      elem_size = sz::dtype_size(d.r.dtype);
       have_dtype = true;
       if (!field_dims) {
         // Scan-only recovery: plane dims come from the chunk itself; the
         // slowest extent is completed from row coverage at the end.
-        field_dims = chunk_dims;
+        field_dims = d.dims;
         plane = field_dims->count() / (*field_dims)[0];
       }
       build_fill_row();
     }
-    emit_fill_rows(fh->row_start - rows_done);
-    const BytesView bytes =
-        dr.dtype == sz::DType::kFloat32
-            ? BytesView(reinterpret_cast<const uint8_t*>(dr.f32.data()),
-                        dr.f32.size() * sizeof(float))
-            : BytesView(reinterpret_cast<const uint8_t*>(dr.f64.data()),
-                        dr.f64.size() * sizeof(double));
-    out.write(bytes);
-    rep.elements_recovered += bytes.size() / elem_size;
-    rows_done = fh->row_start + fh->row_extent;
+    emit_fill_rows(fh.row_start - rows_done);
+    out.write(BytesView(rows));
+    res.report.elements_recovered += rows.size() / elem_size;
+    rows_done = fh.row_start + fh.row_extent;
     frame_bytes_recovered += frame_len;
     ChunkStatus status = ChunkStatus::kRelocated;
-    if (index &&
-        pos == index->entries[fh->chunk_id].offset) {
+    if (index && pos == index->entries[fh.chunk_id].offset) {
       status = ChunkStatus::kOk;
     }
-    placed.emplace(fh->chunk_id, Placed{status, fh->row_start,
-                                        fh->row_extent, frame_len});
-    pos += frame_len;
-    win.drop_before(pos);
+    placed.emplace(fh.chunk_id,
+                   Placed{status, fh.row_start, fh.row_extent, frame_len});
   }
 
+  ChunkedStreamSalvageResult finish() {
+    win.close();
+    scan();
+    SalvageReport& rep = res.report;
   // Tail fill + report.
   if (index) {
     if (have_dtype && rows_done < index->dims[0]) {
@@ -1619,25 +1693,8 @@ ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
                                      static_cast<size_t>(rows_done));
       rep.elements_total = res.dims.count();
     }
-    uint64_t next_gap_id = 0;
-    uint64_t row = 0;
-    for (const auto& [id, p] : placed) {
-      if (p.row_start > row) {
-        rep.chunks.push_back(ChunkReport{
-            next_gap_id, ChunkStatus::kMissing, row, p.row_start - row, 0,
-            "no frame found for these rows"});
-      }
-      ChunkReport cr;
-      cr.chunk_id = id;
-      cr.status = ChunkStatus::kRelocated;
-      cr.row_start = p.row_start;
-      cr.row_extent = p.row_extent;
-      cr.frame_bytes = p.frame_len;
-      rep.chunks.push_back(std::move(cr));
-      next_gap_id = id + 1;
-      row = p.row_start + p.row_extent;
-    }
-    rep.chunks_expected = rep.chunks.size();
+    report_scan_only(rep, placed,
+                     [](const Placed& p) -> const Placed& { return p; });
     rep.bytes_skipped = win.end() > frame_bytes_recovered
                             ? win.end() - frame_bytes_recovered
                             : 0;
@@ -1645,6 +1702,59 @@ ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
   rep.chunks_recovered = placed.size();
   out.flush();
   return res;
+  }
+
+  ByteSink& out;
+  const SalvageOptions opts;
+  // Serial decode state: one runtime cache + scratch pool (the pass is
+  // single-threaded by design — ordered emission is the whole point).
+  RuntimeCache runtimes;
+  BufferPool scratch;
+  Bytes rows;  ///< decoded rows of the current chunk, reused
+  ScanWindow win;
+  bool prelude_done = false;
+  uint64_t prelude_ready_at = 0;  ///< window size for the next parse try
+  std::optional<ChunkIndex> index;
+  uint64_t pos = 0;  ///< absolute scan position
+  std::map<uint64_t, Placed> placed;
+  std::map<uint64_t, std::string> failure;
+  uint64_t rows_done = 0;
+  uint64_t frame_bytes_recovered = 0;
+  bool have_dtype = false;
+  size_t elem_size = 0;
+  std::optional<Dims> field_dims;
+  size_t plane = 0;
+  Bytes fill_row;  ///< one row of fill values, built when dtype is known
+  ChunkedStreamSalvageResult res;
+};
+
+ChunkedSalvager::ChunkedSalvager(ByteSink& out, BytesView key,
+                                 const SalvageOptions& opts)
+    : impl_(std::make_unique<Impl>(out, key, opts)) {}
+
+ChunkedSalvager::~ChunkedSalvager() = default;
+
+void ChunkedSalvager::feed(BytesView in) {
+  impl_->win.append(in);
+  impl_->scan();
+}
+
+ChunkedStreamSalvageResult ChunkedSalvager::finish() {
+  return impl_->finish();
+}
+
+ChunkedStreamSalvageResult salvage_chunked_stream(ByteSource& in,
+                                                  ByteSink& out,
+                                                  BytesView key,
+                                                  const SalvageOptions& opts) {
+  ChunkedSalvager salvager(out, key, opts);
+  Bytes block(kScanBlock);
+  while (true) {
+    const size_t n = in.read(std::span<uint8_t>(block));
+    if (n == 0) break;
+    salvager.feed(BytesView(block.data(), n));
+  }
+  return salvager.finish();
 }
 
 }  // namespace szsec::archive

@@ -56,15 +56,24 @@
 //
 // Threading model: both directions run chunk-parallel on a
 // parallel::ParallelChunkScheduler — bounded in-flight chunks, per-worker
-// scratch state, and commits in chunk-index order on the calling thread.
-// Output is byte-identical for every thread count: per-chunk IVs are
-// derived from the chunk index before fan-out, and the archive is
-// assembled in index order regardless of completion order.
+// scratch state, and commits in chunk-index order on the calling thread
+// (at one thread everything runs inline on it).  Output is
+// byte-identical for every thread count: per-chunk IVs are derived from
+// the chunk index before fan-out, and the archive is assembled in index
+// order regardless of completion order.
+//
+// Streaming: each direction is one push-driven engine (ChunkedEncoder,
+// ChunkedDecoder, ChunkedSalvager) that the caller feeds bytes as they
+// arrive.  The blocking *_chunked_stream functions are read->feed loops
+// over them and sans-io contexts (core/sansio.h) drive them directly, so
+// every streaming path shares one implementation per direction.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
+#include "common/bufpool.h"
 #include "common/io.h"
 #include "common/timer.h"
 #include "core/codec.h"
@@ -181,6 +190,7 @@ struct ChunkedStreamDecodeResult {
   sz::DType dtype = sz::DType::kFloat32;
   uint64_t elements = 0;       ///< elements written to the sink
   uint64_t element_bytes = 0;  ///< bytes written (elements x dtype size)
+  size_t chunk_count = 0;      ///< chunks in the archive's index
 };
 
 /// Streaming strict decode: reads a v3 archive from `in` (tolerating
@@ -194,6 +204,56 @@ struct ChunkedStreamDecodeResult {
 ChunkedStreamDecodeResult decompress_chunked_stream(
     ByteSource& in, ByteSink& out, BytesView key,
     const ChunkedConfig& config = {});
+
+/// Push-driven v3 compressor behind compress_chunked(_stream) and
+/// sans-io encoder contexts: feed() takes raw element bytes in any split
+/// (dims.count() elements in total), encoding each chunk as it
+/// completes; finish() writes the archive to `out` (IoError when input
+/// fell short).  Blocks only while the scheduler's in-flight window is
+/// full.
+class ChunkedEncoder {
+ public:
+  ChunkedEncoder(ByteSink& out, sz::DType dtype, const Dims& dims,
+                 const sz::Params& params, core::Scheme scheme,
+                 BytesView key, const core::CipherSpec& spec = {},
+                 const ChunkedConfig& config = {},
+                 crypto::CtrDrbg* seed_drbg = nullptr);
+  ~ChunkedEncoder();
+  void feed(BytesView in);
+  /// One read from `in` straight into the chunk being filled (never past
+  /// the field); returns the count, 0 at the end of either.
+  size_t feed_from(ByteSource& in);
+  ChunkedStreamResult finish();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Push-driven strict v3 decoder behind decompress_chunked_stream and
+/// sans-io decoder contexts: archive bytes in any split; each chunk's
+/// rows go to `out` in index order when the caller polls (or when the
+/// in-flight window is full).  Bytes past the last indexed frame are
+/// ignored; a prelude or frame cut short at finish() is CorruptError.
+class ChunkedDecoder {
+ public:
+  ChunkedDecoder(ByteSink& out, BytesView key,
+                 const ChunkedConfig& config = {});
+  ~ChunkedDecoder();
+  /// Bytes it can take without reading past the indexed frames: a lower
+  /// bound while the prelude is incomplete, exact after; 0 when done.
+  uint64_t wanted() const;
+  void feed(BytesView in);
+  /// Writes the rows of the oldest outstanding chunk once it is decoded
+  /// (waiting for it if `wait`); false when there is none to write.
+  bool poll(bool wait = false);
+  /// Writes every outstanding chunk, then checks the archive was whole.
+  ChunkedStreamDecodeResult finish();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 /// Reads the archive's field dims without decompressing (strict parse).
 Dims chunked_dims(BytesView archive);
@@ -300,27 +360,37 @@ struct FrameInfo {
 /// verify_archive, so "what counts as a frame" is defined exactly once.
 std::optional<FrameInfo> parse_frame(BytesView archive, size_t pos);
 
-/// Decodes one located frame's container into `into` (the chunk's
-/// row_extent x plane elements), validating everything the strict
-/// decoder validates: container rows versus frame rows, rank/plane
-/// against `field_dims` when provided, dtype against the span's element
-/// type.  Returns the empty string on success, else a human-readable
-/// reason (wrong key and MAC failures surface as exceptions from the
-/// codec, not as a reason string).  `chunk_dims` receives the chunk's
-/// own Dims.  Shared by the strict decoder, salvage, and
-/// SeekableReader so chunk-level validation is defined exactly once.
+/// The header half of the one chunk validator that every decoder (and
+/// verify_archive) runs: container rows versus the frame's claim, rank
+/// and plane dims against `field_dims` and the dtype against `dtype`,
+/// each when known.  Returns the failure reason, or empty.
+std::string check_chunk_header(const core::Header& h, uint64_t frame_rows,
+                               const std::optional<Dims>& field_dims,
+                               std::optional<sz::DType> dtype);
+
+/// The one chunk validator and decoder shared by every v3 decoder,
+/// SeekableReader included: check_chunk_header, then the decode straight
+/// into opts.into_f32 / into_f64 (one must hold exactly the chunk's
+/// elements).  Returns the empty string on success, else a
+/// human-readable reason — decode failures, MAC and cipher rejections
+/// included, are values, never exceptions.
 std::string decode_chunk_frame(const FrameInfo& frame,
                                core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
                                const std::optional<Dims>& field_dims,
-                               std::span<float> into, Dims& chunk_dims,
-                               PipelineMetrics* times = nullptr);
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               BufferPool* pool,
-                               const std::optional<Dims>& field_dims,
-                               std::span<double> into, Dims& chunk_dims,
-                               PipelineMetrics* times = nullptr);
+                               std::optional<sz::DType> dtype,
+                               const core::codec::DecodeOptions& opts);
+
+/// Scratch one codec worker reuses chunk after chunk: key-schedule
+/// cache plus decode buffers, so workers never contend on a shared lock.
+struct WorkerState {
+  explicit WorkerState(BytesView key) : runtimes(key) {}
+  core::codec::RuntimeCache runtimes;
+  BufferPool scratch;
+};
+
+/// One WorkerState per scheduler worker.
+std::vector<std::unique_ptr<WorkerState>> make_worker_states(size_t count,
+                                                             BytesView key);
 
 /// What happened to one chunk during salvage.
 enum class ChunkStatus : uint8_t {
@@ -425,5 +495,22 @@ struct ChunkedStreamSalvageResult {
 ChunkedStreamSalvageResult salvage_chunked_stream(
     ByteSource& in, ByteSink& out, BytesView key,
     const SalvageOptions& opts = {});
+
+/// Push-driven single-pass salvage behind salvage_chunked_stream and
+/// sans-io salvage contexts (semantics there); the outcome does not
+/// depend on how the input is split into feeds.
+class ChunkedSalvager {
+ public:
+  ChunkedSalvager(ByteSink& out, BytesView key,
+                  const SalvageOptions& opts = {});
+  ~ChunkedSalvager();
+
+  void feed(BytesView in);
+  ChunkedStreamSalvageResult finish();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 }  // namespace szsec::archive

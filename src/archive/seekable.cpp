@@ -27,21 +27,17 @@ constexpr sz::DType dtype_of() {
 /// the streaming salvage bound.
 constexpr size_t kMaxSeekPrelude = size_t{16} << 20;
 
-/// Scratch state owned by one pool worker during a multi-chunk read.
-struct WorkerState {
-  explicit WorkerState(BytesView key) : runtimes(key) {}
-  RuntimeCache runtimes;
-  BufferPool scratch;
-};
-
-std::vector<std::unique_ptr<WorkerState>> make_worker_states(
-    size_t count, BytesView key) {
-  std::vector<std::unique_ptr<WorkerState>> states;
-  states.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    states.push_back(std::make_unique<WorkerState>(key));
+/// Decode options reconstructing straight into `into`.
+template <typename T>
+core::codec::DecodeOptions decode_into(BufferPool* pool, std::span<T> into) {
+  core::codec::DecodeOptions opts;
+  opts.pool = pool;
+  if constexpr (std::is_same_v<T, float>) {
+    opts.into_f32 = into;
+  } else {
+    opts.into_f64 = into;
   }
-  return states;
+  return opts;
 }
 
 /// Copies the ROI's intersection with one decoded chunk (global rows
@@ -267,17 +263,16 @@ void SeekableReader::read_range_impl(uint64_t elem_lo, uint64_t elem_hi,
     const SeekEntry& e = entries[chunk];
     const bool full =
         e.elem_start >= elem_lo && e.elem_start + e.elem_count <= elem_hi;
-    Dims chunk_dims;
     if (full) {
       const std::span<T> into = out.subspan(
           static_cast<size_t>(e.elem_start - elem_lo),
           static_cast<size_t>(e.elem_count));
-      d.error = decode_chunk_frame(f, rc, pool, table_.dims, into,
-                                   chunk_dims);
+      d.error = decode_chunk_frame(f, rc, table_.dims, dtype_of<T>(),
+                                   decode_into(pool, into));
     } else {
       d.partial.resize(static_cast<size_t>(e.elem_count));
-      d.error = decode_chunk_frame(f, rc, pool, table_.dims,
-                                   std::span<T>(d.partial), chunk_dims);
+      d.error = decode_chunk_frame(f, rc, table_.dims, dtype_of<T>(),
+                                   decode_into(pool, std::span<T>(d.partial)));
     }
   };
   const auto commit_one = [&](size_t chunk, Decoded&& d) {
@@ -369,9 +364,8 @@ void SeekableReader::read_roi_impl(std::span<const size_t> origin,
                                      Decoded& d) {
     const SeekEntry& e = entries[chunk];
     scratch.resize(static_cast<size_t>(e.elem_count));
-    Dims chunk_dims;
-    d.error = decode_chunk_frame(f, rc, pool, table_.dims,
-                                 std::span<T>(scratch), chunk_dims);
+    d.error = decode_chunk_frame(f, rc, table_.dims, dtype_of<T>(),
+                                 decode_into(pool, std::span<T>(scratch)));
     if (!d.error.empty()) return;
     const uint64_t g_lo = std::max<uint64_t>(row_lo, e.row_start);
     const uint64_t g_hi =

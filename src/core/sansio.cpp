@@ -1,9 +1,6 @@
 #include "core/sansio.h"
 
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
-#include <thread>
 
 #include "core/container.h"
 #include "parallel/slab.h"
@@ -11,190 +8,43 @@
 namespace szsec::sansio {
 namespace {
 
-/// Handoff-buffer bound per direction.  Large enough that a whole v2
-/// header and any frame prelude moves in one hop, small enough that a
-/// Context's overhead stays negligible next to the codec's own window.
-constexpr size_t kPipeCapacity = size_t{1} << 20;
+/// Largest input slice one engine call digests before feed() re-checks
+/// the output backlog.
+constexpr size_t kFeedSlice = size_t{1} << 20;
+/// feed() stops accepting input once this much output awaits pull().
+constexpr size_t kOutputHighWater = size_t{1} << 20;
 
-/// Internal unwind token thrown into the driver when the Context is
-/// destroyed mid-run; never escapes to the caller.
-struct AbortPump {};
-
-}  // namespace
-
-// The machine is a driver thread running the existing streaming codec
-// against two bounded in-memory pipes.  The caller-facing calls move
-// bytes across the pipes and then wait for a *stable* state: the driver
-// produced output, is parked waiting for input the caller has not fed,
-// finished, or failed.  Only then do they return, so to a
-// single-threaded caller the Context behaves as a pure state machine —
-// the thread is an implementation detail (the chunked codec it hosts
-// already fans out across workers), not part of the contract, and no
-// byte ever touches a file descriptor.
-struct Context::Impl {
-  bool is_encoder = false;
-  EncoderConfig enc;
-  DecoderConfig dec;
-
-  std::mutex mu;
-  std::condition_variable caller_cv;  ///< driver -> caller wakeups
-  std::condition_variable driver_cv;  ///< caller -> driver wakeups
-
-  // Input pipe (caller feeds, driver reads).  `in_pos` is the driver's
-  // read offset; the buffer compacts whenever it drains.
-  Bytes in_buf;
-  size_t in_pos = 0;
-  bool in_eof = false;  ///< finish() called: no more input will come
-
-  // Output pipe (driver writes, caller pulls).
-  Bytes out_buf;
-  size_t out_pos = 0;
-
-  bool driver_wants_input = false;  ///< driver parked in read() on empty in
-  bool driver_done = false;         ///< driver returned successfully
-  uint64_t expected_in = 0;         ///< encoder: declared field byte count
-  bool aborted = false;             ///< destructor tearing down
-  bool finished = false;            ///< finish() was called
-  bool dead = false;                ///< an error already surfaced
-  std::exception_ptr error;
-
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  Result result;
-
-  std::thread driver;
-
-  size_t in_pending() const { return in_buf.size() - in_pos; }
-  size_t out_pending() const { return out_buf.size() - out_pos; }
-
-  void check_alive() const {
-    if (dead) {
-      throw StateError(
-          "context already failed or was misused; create a new one");
-    }
-  }
-
-  /// Blocks until the machine reaches a state the caller can act on.
-  /// The in_eof guard matters: after finish() a parked driver is about
-  /// to wake, observe end-of-stream, and move on — "wants input" is no
-  /// longer a stable answer.
-  void wait_stable(std::unique_lock<std::mutex>& lk) {
-    caller_cv.wait(lk, [&] {
-      return error != nullptr || driver_done || out_pending() > 0 ||
-             (driver_wants_input && in_pending() == 0 && !in_eof);
-    });
-  }
-
-  /// Rethrows a pending driver error (once; the context is dead after).
-  void surface_error() {
-    if (error != nullptr) {
-      dead = true;
-      std::rethrow_exception(error);
-    }
-  }
-
-  Status status_locked() const {
-    if (out_pending() > 0) return Status::kHaveOutput;
-    if (driver_done) return Status::kDone;
-    return Status::kNeedInput;
-  }
-
-  void start() {
-    driver = std::thread([this] { run(); });
-  }
-
-  void shutdown() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      aborted = true;
-      driver_cv.notify_all();
-    }
-    if (driver.joinable()) driver.join();
-  }
-
-  void run();
-  void run_encode(ByteSource& src, ByteSink& sink, Result& r);
-  void run_decode(ByteSource& src, ByteSink& sink, Result& r);
-
-  class PumpSource;
-  class PumpSink;
-};
-
-/// The driver's view of the input pipe.  Blocks while the pipe is empty
-/// and more input may come; a short read is normal, 0 means the caller
-/// called finish().
-class Context::Impl::PumpSource final : public ByteSource {
+/// Output not yet pulled.  One buffer whose pulled prefix is dropped
+/// once it outweighs the rest (capacity kept), so steady-state output
+/// reuses the same pages and many small writes cost linear time.
+class OutputQueue final : public ByteSink {
  public:
-  explicit PumpSource(Context::Impl& s) : s_(s) {}
+  void write(BytesView data) override {
+    if (head_ > buf_.size() / 2) {
+      buf_.erase(buf_.begin(),
+                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    buf_.insert(buf_.end(), data.begin(), data.end());
+  }
 
-  size_t read(std::span<uint8_t> out) override {
-    if (out.empty()) return 0;
-    std::unique_lock<std::mutex> lk(s_.mu);
-    while (s_.in_pending() == 0 && !s_.in_eof && !s_.aborted) {
-      s_.driver_wants_input = true;
-      s_.caller_cv.notify_all();
-      s_.driver_cv.wait(lk);
+  uint64_t pending() const { return buf_.size() - head_; }
+
+  size_t read(std::span<uint8_t> out) {
+    const size_t n = std::min<size_t>(out.size(), pending());
+    std::memcpy(out.data(), buf_.data() + head_, n);
+    head_ += n;
+    if (head_ == buf_.size()) {
+      buf_.clear();
+      head_ = 0;
     }
-    s_.driver_wants_input = false;
-    if (s_.aborted) throw AbortPump{};
-    const size_t n = std::min(out.size(), s_.in_pending());
-    if (n == 0) return 0;  // end of stream
-    std::memcpy(out.data(), s_.in_buf.data() + s_.in_pos, n);
-    s_.in_pos += n;
-    if (s_.in_pos == s_.in_buf.size()) {
-      s_.in_buf.clear();
-      s_.in_pos = 0;
-    }
-    s_.caller_cv.notify_all();
     return n;
   }
 
  private:
-  Context::Impl& s_;
+  Bytes buf_;
+  size_t head_ = 0;  ///< bytes already pulled
 };
-
-/// The driver's view of the output pipe.  Blocks while the pipe is full
-/// — backpressure from a caller who has not pulled yet.
-class Context::Impl::PumpSink final : public ByteSink {
- public:
-  explicit PumpSink(Context::Impl& s) : s_(s) {}
-
-  void write(BytesView data) override {
-    std::unique_lock<std::mutex> lk(s_.mu);
-    size_t done = 0;
-    while (done < data.size()) {
-      if (s_.aborted) throw AbortPump{};
-      const size_t pending = s_.out_pending();
-      const size_t space =
-          pending < kPipeCapacity ? kPipeCapacity - pending : 0;
-      if (space == 0) {
-        s_.driver_cv.wait(lk);
-        continue;
-      }
-      const size_t n = std::min(space, data.size() - done);
-      s_.out_buf.insert(s_.out_buf.end(), data.begin() + done,
-                        data.begin() + done + n);
-      done += n;
-      s_.caller_cv.notify_all();
-    }
-  }
-
- private:
-  Context::Impl& s_;
-};
-
-namespace {
-
-/// Reads the rest of `src` into `into` (which already holds the sniffed
-/// prefix) — the slurp for the one-shot v1/v2 formats.
-void slurp_remainder(ByteSource& src, Bytes& into) {
-  uint8_t block[64 * 1024];
-  while (true) {
-    const size_t n = src.read(block);
-    if (n == 0) break;
-    into.insert(into.end(), block, block + n);
-  }
-}
 
 void emit_elements(ByteSink& sink, const core::DecompressResult& r) {
   if (r.dtype == sz::DType::kFloat32) {
@@ -208,81 +58,154 @@ void emit_elements(ByteSink& sink, const core::DecompressResult& r) {
 
 }  // namespace
 
-void Context::Impl::run() {
-  try {
-    PumpSource src(*this);
-    PumpSink sink(*this);
-    Result local;
-    if (is_encoder) {
-      run_encode(src, sink, local);
-    } else {
-      run_decode(src, sink, local);
+// The machine drives the codec's push engines inline on the caller's
+// thread: v3 encode/decode/salvage run through archive::ChunkedEncoder /
+// ChunkedDecoder / ChunkedSalvager (the same engines behind the blocking
+// streaming APIs), v2/v1 buffer the whole container and run the
+// one-shot codec at finish().  No byte ever touches a file descriptor.
+struct Context::Impl {
+  bool is_encoder = false;
+  EncoderConfig enc;
+  DecoderConfig dec;
+
+  uint64_t expected_in = 0;  ///< encoder: declared field byte count
+  uint64_t bytes_in = 0;
+  uint64_t bytes_out = 0;
+  bool finished = false;  ///< finish() was called
+  bool done = false;      ///< the codec finished; output may remain
+  bool dead = false;      ///< an error already surfaced
+  Result result;
+
+  OutputQueue out;
+  std::optional<crypto::CtrDrbg> drbg;  ///< encoder's seeded IV source
+  /// v1/v2 input, and a decoder's first bytes until the magic is known.
+  Bytes buffered;
+  // Declared after everything they write into, so they are destroyed
+  // (draining any chunk still on a pool worker) first.
+  std::unique_ptr<archive::ChunkedEncoder> encoder;
+  std::unique_ptr<archive::ChunkedDecoder> decoder;
+  std::unique_ptr<archive::ChunkedSalvager> salvager;
+
+  void check_alive() const {
+    if (dead) {
+      throw StateError(
+          "context already failed or was misused; create a new one");
     }
-    std::lock_guard<std::mutex> lk(mu);
-    result = std::move(local);
-    driver_done = true;
-    caller_cv.notify_all();
-  } catch (const AbortPump&) {
-    // Destructor teardown: nobody is listening.
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(mu);
-    error = std::current_exception();
-    caller_cv.notify_all();
+  }
+
+  /// Runs one step of the machine; an escaping error kills the context.
+  template <typename Fn>
+  Status step(Fn&& fn) {
+    check_alive();
+    try {
+      // Harvest chunks the decoder's pool finished meanwhile, while the
+      // output backlog is low.
+      while (decoder && out.pending() < kOutputHighWater && decoder->poll()) {
+      }
+      fn();
+      if (finished && !done) settle();
+      return status_now();
+    } catch (...) {
+      dead = true;
+      throw;
+    }
+  }
+
+  /// After finish(): completes the run.  A v3 decoder drains its
+  /// outstanding chunks only while the output backlog is low, so pulls
+  /// pace the drain instead of every chunk's rows piling up at once.
+  void settle() {
+    if (decoder) {
+      while (out.pending() < kOutputHighWater && decoder->poll(true)) {
+      }
+      if (out.pending() >= kOutputHighWater) return;
+    }
+    if (is_encoder) {
+      finish_encode();
+    } else {
+      finish_decode();
+    }
+    done = true;
+  }
+
+  Status status_now() const {
+    if (out.pending() > 0) return Status::kHaveOutput;
+    if (done) return Status::kDone;
+    return Status::kNeedInput;
+  }
+
+  void push(BytesView in);
+  void start_v3_decoder();
+  void finish_encode();
+  void finish_decode();
+};
+
+void Context::Impl::push(BytesView in) {
+  if (encoder) return encoder->feed(in);
+  if (decoder) return decoder->feed(in);
+  if (salvager) return salvager->feed(in);
+  buffered.insert(buffered.end(), in.begin(), in.end());
+  if (!is_encoder && buffered.size() >= sizeof(uint32_t) &&
+      buffered.size() - in.size() < sizeof(uint32_t)) {
+    uint32_t magic = 0;
+    std::memcpy(&magic, buffered.data(), sizeof(magic));
+    if (magic == archive::kChunkedMagic) start_v3_decoder();
   }
 }
 
-void Context::Impl::run_encode(ByteSource& src, ByteSink& sink, Result& r) {
-  crypto::CtrDrbg seeded(enc.drbg_seed.value_or(0));
-  crypto::CtrDrbg* drbg = enc.drbg_seed ? &seeded : nullptr;
+void Context::Impl::start_v3_decoder() {
+  result.container = Container::kV3Chunked;
+  if (dec.salvage) {
+    archive::SalvageOptions so;
+    so.fill = dec.fill;
+    so.threads = dec.threads;
+    salvager = std::make_unique<archive::ChunkedSalvager>(out, dec.key, so);
+    salvager->feed(buffered);
+  } else {
+    archive::ChunkedConfig cc;
+    cc.threads = dec.threads;
+    cc.metrics = &result.times;
+    decoder = std::make_unique<archive::ChunkedDecoder>(out, dec.key, cc);
+    decoder->feed(buffered);
+  }
+  buffered = Bytes{};
+}
+
+void Context::Impl::finish_encode() {
+  Result& r = result;
   r.container = enc.container;
   r.dtype = enc.dtype;
   r.dims = enc.dims;
   r.elements = enc.dims.count();
-
-  if (enc.container == Container::kV3Chunked) {
-    archive::ChunkedConfig cc;
-    cc.threads = enc.threads;
-    cc.chunks = enc.chunks;
-    // A temp-file spool would be a library-initiated syscall; the
-    // sans-io contract forbids it, so frames stage in memory.
-    cc.spool = FrameSpool::Backing::kMemory;
-    cc.seek_table = enc.seek_table;
-    const archive::ChunkedStreamResult res = archive::compress_chunked_stream(
-        src, sink, enc.dtype, enc.dims, enc.params, enc.scheme, enc.key,
-        enc.spec, cc, drbg);
+  if (encoder) {
+    const archive::ChunkedStreamResult res = encoder->finish();
     r.chunk_count = res.chunk_count;
     r.stats = res.stats;
     r.times = res.times;
     return;
   }
 
-  // v2 / v1 are one-shot formats: buffer the whole field, then emit.
-  const size_t total = enc.dims.count() * sz::dtype_size(enc.dtype);
-  Bytes field(total);
-  const size_t got = read_full(src, field);
-  if (got < total) {
-    throw IoError("input ended after " + std::to_string(got) + " of " +
-                  std::to_string(total) + " field bytes");
+  // v2 / v1 are one-shot formats: the whole field is buffered.
+  if (buffered.size() < expected_in) {
+    throw IoError("input ended after " + std::to_string(buffered.size()) +
+                  " of " + std::to_string(expected_in) + " field bytes");
   }
-
+  crypto::CtrDrbg* iv = drbg ? &*drbg : nullptr;
+  const auto with_field = [&](auto encode) {
+    const size_t n = enc.dims.count();
+    return enc.dtype == sz::DType::kFloat32
+               ? encode(std::span<const float>(
+                     reinterpret_cast<const float*>(buffered.data()), n))
+               : encode(std::span<const double>(
+                     reinterpret_cast<const double*>(buffered.data()), n));
+  };
   if (enc.container == Container::kV2Single) {
     const core::codec::CodecRuntime rt(enc.params, enc.scheme, enc.key,
                                        enc.spec);
-    core::CompressResult res;
-    if (enc.dtype == sz::DType::kFloat32) {
-      res = core::codec::encode_payload_to(
-          rt.config(), sink,
-          std::span<const float>(reinterpret_cast<const float*>(field.data()),
-                                 enc.dims.count()),
-          enc.dims, drbg);
-    } else {
-      res = core::codec::encode_payload_to(
-          rt.config(), sink,
-          std::span<const double>(
-              reinterpret_cast<const double*>(field.data()),
-              enc.dims.count()),
-          enc.dims, drbg);
-    }
+    const core::CompressResult res = with_field([&](auto field) {
+      return core::codec::encode_payload_to(rt.config(), out, field,
+                                            enc.dims, iv);
+    });
     r.stats = res.stats;
     r.times = res.times;
     return;
@@ -291,62 +214,42 @@ void Context::Impl::run_encode(ByteSource& src, ByteSink& sink, Result& r) {
   parallel::SlabConfig sc;
   sc.threads = enc.threads;
   sc.slabs = enc.chunks;
-  parallel::SlabCompressResult res;
-  if (enc.dtype == sz::DType::kFloat32) {
-    res = parallel::compress_slabs_to(
-        sink,
-        std::span<const float>(reinterpret_cast<const float*>(field.data()),
-                               enc.dims.count()),
-        enc.dims, enc.params, enc.scheme, enc.key, enc.spec, sc, drbg);
-  } else {
-    res = parallel::compress_slabs_to(
-        sink,
-        std::span<const double>(reinterpret_cast<const double*>(field.data()),
-                                enc.dims.count()),
-        enc.dims, enc.params, enc.scheme, enc.key, enc.spec, sc, drbg);
-  }
+  const parallel::SlabCompressResult res = with_field([&](auto field) {
+    return parallel::compress_slabs_to(out, field, enc.dims, enc.params,
+                                       enc.scheme, enc.key, enc.spec, sc,
+                                       iv);
+  });
   r.chunk_count = res.slab_count;
   r.stats = res.stats;
 }
 
-void Context::Impl::run_decode(ByteSource& src, ByteSink& sink, Result& r) {
-  uint8_t magic_bytes[4];
-  if (read_full(src, magic_bytes) < sizeof(magic_bytes)) {
-    throw CorruptError("input too short for a container magic");
+void Context::Impl::finish_decode() {
+  Result& r = result;
+  if (decoder) {
+    const archive::ChunkedStreamDecodeResult res = decoder->finish();
+    r.dims = res.dims;
+    r.dtype = res.dtype;
+    r.elements = res.elements;
+    r.chunk_count = res.chunk_count;
+    return;
   }
-  uint32_t magic = 0;
-  std::memcpy(&magic, magic_bytes, sizeof(magic));
-
-  if (magic == archive::kChunkedMagic) {
-    r.container = Container::kV3Chunked;
-    ConcatSource whole(BytesView(magic_bytes), src);
-    if (dec.salvage) {
-      archive::SalvageOptions so;
-      so.fill = dec.fill;
-      so.threads = dec.threads;
-      const archive::ChunkedStreamSalvageResult res =
-          archive::salvage_chunked_stream(whole, sink, dec.key, so);
-      r.dims = res.dims;
-      r.dtype = res.dtype;
-      r.elements = res.dims.rank() > 0 ? res.dims.count() : 0;
-      r.chunk_count = res.report.chunks_expected;
-      r.salvage = res.report;
-    } else {
-      archive::ChunkedConfig cc;
-      cc.threads = dec.threads;
-      cc.metrics = &r.times;
-      const archive::ChunkedStreamDecodeResult res =
-          archive::decompress_chunked_stream(whole, sink, dec.key, cc);
-      r.dims = res.dims;
-      r.dtype = res.dtype;
-      r.elements = res.elements;
-    }
+  if (salvager) {
+    const archive::ChunkedStreamSalvageResult res = salvager->finish();
+    r.dims = res.dims;
+    r.dtype = res.dtype;
+    r.elements = res.dims.rank() > 0 ? res.dims.count() : 0;
+    r.chunk_count = res.report.chunks_expected;
+    r.salvage = res.report;
     return;
   }
 
-  // One-shot formats: the whole container must be in hand to decode.
-  Bytes whole(magic_bytes, magic_bytes + sizeof(magic_bytes));
-  slurp_remainder(src, whole);
+  // One-shot formats: the whole container is in hand.
+  const Bytes& whole = buffered;
+  if (whole.size() < sizeof(uint32_t)) {
+    throw CorruptError("input too short for a container magic");
+  }
+  uint32_t magic = 0;
+  std::memcpy(&magic, whole.data(), sizeof(magic));
 
   if (magic == core::kMagic) {
     const core::Header h = core::peek_header(whole);
@@ -361,7 +264,7 @@ void Context::Impl::run_decode(ByteSource& src, ByteSink& sink, Result& r) {
     r.dtype = res.dtype;
     r.elements = res.dims.count();
     r.times = res.times;
-    emit_elements(sink, res);
+    emit_elements(out, res);
     return;
   }
 
@@ -389,17 +292,14 @@ void Context::Impl::run_decode(ByteSource& src, ByteSink& sink, Result& r) {
     r.dtype = h0.dtype;
     r.elements = dims.count();
     r.chunk_count = static_cast<size_t>(slabs);
+    core::DecompressResult res;
+    res.dtype = h0.dtype;
     if (h0.dtype == sz::DType::kFloat32) {
-      const std::vector<float> field =
-          parallel::decompress_slabs_f32(whole, dec.key, sc);
-      sink.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
-                           field.size() * sizeof(float)));
+      res.f32 = parallel::decompress_slabs_f32(whole, dec.key, sc);
     } else {
-      const std::vector<double> field =
-          parallel::decompress_slabs_f64(whole, dec.key, sc);
-      sink.write(BytesView(reinterpret_cast<const uint8_t*>(field.data()),
-                           field.size() * sizeof(double)));
+      res.f64 = parallel::decompress_slabs_f64(whole, dec.key, sc);
     }
+    emit_elements(out, res);
     return;
   }
 
@@ -408,9 +308,7 @@ void Context::Impl::run_decode(ByteSource& src, ByteSink& sink, Result& r) {
 
 Context::Context(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 
-Context::~Context() {
-  if (impl_) impl_->shutdown();
-}
+Context::~Context() = default;
 
 std::unique_ptr<Context> Context::encoder(EncoderConfig config) {
   SZSEC_REQUIRE(config.dims.rank() >= 1, "encoder requires field dims");
@@ -420,11 +318,23 @@ std::unique_ptr<Context> Context::encoder(EncoderConfig config) {
                                         config.key, config.spec);
   (void)probe;
   auto impl = std::make_unique<Impl>();
-  impl->is_encoder = true;
-  impl->enc = std::move(config);
-  impl->expected_in =
-      impl->enc.dims.count() * sz::dtype_size(impl->enc.dtype);
-  impl->start();
+  Impl& s = *impl;
+  s.is_encoder = true;
+  s.enc = std::move(config);
+  s.expected_in = s.enc.dims.count() * sz::dtype_size(s.enc.dtype);
+  if (s.enc.drbg_seed) s.drbg.emplace(*s.enc.drbg_seed);
+  if (s.enc.container == Container::kV3Chunked) {
+    archive::ChunkedConfig cc;
+    cc.threads = s.enc.threads;
+    cc.chunks = s.enc.chunks;
+    // A temp-file spool would be a library-initiated syscall; the
+    // sans-io contract forbids it, so frames stage in memory.
+    cc.spool = FrameSpool::Backing::kMemory;
+    cc.seek_table = s.enc.seek_table;
+    s.encoder = std::make_unique<archive::ChunkedEncoder>(
+        s.out, s.enc.dtype, s.enc.dims, s.enc.params, s.enc.scheme,
+        s.enc.key, s.enc.spec, cc, s.drbg ? &*s.drbg : nullptr);
+  }
   return std::unique_ptr<Context>(new Context(std::move(impl)));
 }
 
@@ -435,98 +345,59 @@ std::unique_ptr<Context> Context::decoder(DecoderConfig config) {
   auto impl = std::make_unique<Impl>();
   impl->is_encoder = false;
   impl->dec = std::move(config);
-  impl->start();
   return std::unique_ptr<Context>(new Context(std::move(impl)));
 }
 
 Status Context::feed(BytesView in, size_t& consumed) {
   Impl& s = *impl_;
   consumed = 0;
-  std::unique_lock<std::mutex> lk(s.mu);
   s.check_alive();
   if (s.finished) throw StateError("feed after finish()");
-  // Encoder surplus input is a caller bug flagged here, at the feed
-  // that crosses the declared field length — checking against the
-  // up-front total keeps the error deterministic regardless of how far
-  // the driver has progressed.  Decoders instead tolerate trailing
-  // bytes (a v3 seek footer is legitimate trailing input to the strict
-  // stream decoder, exactly as with the streaming CLI).
-  if (s.is_encoder && s.bytes_in + in.size() > s.expected_in) {
-    s.error = std::make_exception_ptr(
-        Error("trailing input: " +
-              std::to_string(s.bytes_in + in.size() - s.expected_in) +
-              " bytes fed beyond the declared field"));
-    s.surface_error();
-  }
-  const size_t pending = s.in_pending();
-  const size_t space = pending < kPipeCapacity ? kPipeCapacity - pending : 0;
-  const size_t n = std::min(space, in.size());
-  if (n > 0) {
-    s.in_buf.insert(s.in_buf.end(), in.begin(), in.begin() + n);
-    s.bytes_in += n;
-    consumed = n;
-    s.driver_cv.notify_all();
-  }
-  s.wait_stable(lk);
-  s.surface_error();
-  return s.status_locked();
+  return s.step([&] {
+    // Encoder surplus input is a caller bug flagged at the feed that
+    // crosses the declared field length.  Decoders instead tolerate
+    // trailing bytes (a v3 seek footer is legitimate trailing input to
+    // the strict stream decoder, exactly as with the streaming CLI).
+    if (s.is_encoder && s.bytes_in + in.size() > s.expected_in) {
+      throw Error("trailing input: " +
+                  std::to_string(s.bytes_in + in.size() - s.expected_in) +
+                  " bytes fed beyond the declared field");
+    }
+    while (consumed < in.size() && s.out.pending() < kOutputHighWater) {
+      const BytesView slice =
+          in.subspan(consumed, std::min(kFeedSlice, in.size() - consumed));
+      s.push(slice);
+      consumed += slice.size();
+      s.bytes_in += slice.size();
+    }
+  });
 }
 
 Status Context::pull(std::span<uint8_t> out, size_t& produced) {
   Impl& s = *impl_;
   produced = 0;
-  std::unique_lock<std::mutex> lk(s.mu);
-  s.check_alive();
-  s.wait_stable(lk);
-  s.surface_error();
-  const size_t n = std::min(out.size(), s.out_pending());
-  if (n > 0) {
-    std::memcpy(out.data(), s.out_buf.data() + s.out_pos, n);
-    s.out_pos += n;
-    if (s.out_pos == s.out_buf.size()) {
-      s.out_buf.clear();
-      s.out_pos = 0;
-    }
-    s.bytes_out += n;
-    produced = n;
-    s.driver_cv.notify_all();
-    // Freed space may unblock the driver; settle again so the returned
-    // status is stable.
-    s.wait_stable(lk);
-    s.surface_error();
-  }
-  return s.status_locked();
+  return s.step([&] {
+    produced = s.out.read(out);
+    s.bytes_out += produced;
+  });
 }
 
 Status Context::finish() {
   Impl& s = *impl_;
-  std::unique_lock<std::mutex> lk(s.mu);
   s.check_alive();
   if (s.finished) throw StateError("finish() called twice");
   s.finished = true;
-  s.in_eof = true;
-  s.driver_cv.notify_all();
-  s.wait_stable(lk);
-  s.surface_error();
-  return s.status_locked();
+  return s.step([] {});
 }
 
 Status Context::status() {
-  Impl& s = *impl_;
-  std::unique_lock<std::mutex> lk(s.mu);
-  s.check_alive();
-  s.wait_stable(lk);
-  s.surface_error();
-  return s.status_locked();
+  return impl_->step([] {});
 }
 
 const Result& Context::result() const {
   Impl& s = *impl_;
-  std::unique_lock<std::mutex> lk(s.mu);
-  if (s.dead || s.error != nullptr) {
-    throw StateError("context failed; no result");
-  }
-  if (!s.driver_done || s.out_pending() > 0) {
+  if (s.dead) throw StateError("context failed; no result");
+  if (!s.done || s.out.pending() > 0) {
     throw StateError("result() before the context is done");
   }
   s.result.bytes_in = s.bytes_in;

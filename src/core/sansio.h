@@ -29,28 +29,33 @@
 //     }
 //   }
 //
-// The machine reuses the existing streaming drivers unchanged —
-// codec::encode_payload_to for v2 containers, compress_slabs_to for v1
-// slab archives, archive::compress_chunked_stream /
-// decompress_chunked_stream / salvage_chunked_stream for v3 — so every
-// byte a Context emits is identical to the in-memory and streaming APIs
-// (the golden-container pins hold by construction).  Decoding sniffs
-// the container kind from the first four bytes: v1 slab, v2 single, and
-// v3 chunked archives all decode through one Context.
+// The machine drives the codec's push engines inline — v3 archives
+// through archive::ChunkedEncoder / ChunkedDecoder / ChunkedSalvager,
+// the same engines behind compress_chunked_stream /
+// decompress_chunked_stream / salvage_chunked_stream — and the one-shot
+// codec for v2 containers and v1 slab archives, so every byte a Context
+// emits is identical to the in-memory and streaming APIs (the
+// golden-container pins hold by construction).  Decoding sniffs the
+// container kind from the first four bytes: v1 slab, v2 single, and v3
+// chunked archives all decode through one Context.
 //
 // Memory: v3 encode/decode hold the scheduler's in-flight window plus
-// the internal handoff buffers (a v3 encoder additionally stages frames
-// in memory until the index is written — the index precedes the frames
-// and the context has no temp file to spool through).  v2/v1 are
-// one-shot formats and buffer one whole field/container.
+// output not yet pulled (feed() stops accepting input once about 1 MiB
+// of output waits; a v3 encoder additionally stages frames in memory
+// until the index is written — the index precedes the frames and the
+// context has no temp file to spool through).  v2/v1 are one-shot
+// formats and buffer one whole field/container.
 //
-// Concurrency: a Context runs the codec on one internal driver thread
-// (the chunked paths fan out across ChunkedConfig::threads workers
-// exactly as the streaming APIs do).  The caller-facing API is not
-// thread-safe: use one Context per thread, like SecureCompressor.
-// Every caller-facing call returns only in a *stable* state — the
-// machine either produced output, genuinely needs input, or finished —
-// so single-threaded callers can treat it as a pure state machine.
+// Concurrency: a Context starts no thread of its own.  Every call runs
+// the codec on the caller's thread and returns once the machine has
+// digested what it was given; with threads > 1 the v3 paths fan chunks
+// out to the codec pool (ChunkedConfig::threads workers, exactly as the
+// streaming APIs do) and a call blocks only while that pool's in-flight
+// window is full, or, after finish(), while the next chunk it must emit
+// is still decoding.  At threads == 1 no thread exists beyond the
+// caller's.
+// The caller-facing API is not thread-safe: use one Context per thread,
+// like SecureCompressor.
 //
 // Error model: codec failures (CorruptError, CryptoError, Error) and
 // transport-free IoErrors (truncated input) propagate out of
@@ -140,8 +145,7 @@ struct Result {
   uint64_t elements = 0;   ///< field elements consumed (encode) / emitted
   uint64_t bytes_in = 0;   ///< bytes accepted via feed()
   uint64_t bytes_out = 0;  ///< bytes drained via pull()
-  /// v1 slabs / v3 chunks (0 where the path does not report a count,
-  /// e.g. the strict v3 stream decode).
+  /// v1 slabs / v3 chunks (0 for v2 containers).
   size_t chunk_count = 0;
   core::CompressStats stats;  ///< encode only
   PipelineMetrics times;
@@ -157,7 +161,8 @@ class Context {
   static std::unique_ptr<Context> encoder(EncoderConfig config);
   static std::unique_ptr<Context> decoder(DecoderConfig config);
 
-  /// Destruction aborts an unfinished run and releases the driver.
+  /// Destruction abandons an unfinished run, waiting only for chunks
+  /// already on the codec pool.
   ~Context();
 
   Context(const Context&) = delete;
@@ -166,7 +171,7 @@ class Context {
   /// Offers `in` to the machine; `consumed` receives how many leading
   /// bytes were accepted (possibly fewer than in.size() when output is
   /// backed up — pull first, then re-offer the rest).  Returns the
-  /// stable status after the machine has digested the bytes.  Throws
+  /// status after the machine has digested the bytes.  Throws
   /// StateError after finish() or after a prior error.
   Status feed(BytesView in, size_t& consumed);
 
@@ -181,8 +186,9 @@ class Context {
   /// propagates codec errors (e.g. input ended mid-field).
   Status finish();
 
-  /// The current stable status (waits for the machine to settle; never
-  /// consumes or produces bytes).
+  /// The current status (collects chunks the codec pool finished
+  /// meanwhile; never consumes input, and blocks only after finish(),
+  /// for a chunk still decoding).
   Status status();
 
   /// Outcome of the run; throws StateError before status() == kDone.

@@ -20,9 +20,15 @@
 //     indexes per-worker scratch state — BufferPool, RuntimeCache — so
 //     workers reuse buffers and key schedules without contending on a
 //     shared lock;
-//   * an exception from produce or commit stops new submissions, drains
-//     every in-flight task (workers never outlive the call's stack
-//     state), and is rethrown to the caller.
+//   * an exception from produce surfaces where its index would have
+//     committed (so the first failure in index order wins, for every
+//     thread count); an exception from commit surfaces at once.  Either
+//     way every in-flight task drains before the run's state is released.
+//
+// The primitive is OrderedRun, a push API (submit one input, commit
+// results as they become ready) shared by push-driven codecs and the
+// blocking run_ordered loops.  At one thread there is no pool: produce
+// runs inline on the caller's thread with worker index 0.
 //
 // Determinism note: the scheduler never changes WHAT is computed, only
 // WHEN.  Chunked archive bytes are identical for any thread count because
@@ -32,9 +38,9 @@
 #pragma once
 
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,7 +52,8 @@ namespace szsec::parallel {
 /// Construction-time knobs of a ParallelChunkScheduler.
 struct ChunkSchedulerConfig {
   /// Worker threads (0 = default_thread_count(), which honors the
-  /// SZSEC_THREADS environment variable).
+  /// SZSEC_THREADS environment variable).  1 runs every chunk inline on
+  /// the calling thread and starts no thread at all.
   unsigned threads = 0;
   /// Backpressure window: maximum chunks submitted but not yet committed
   /// (0 = 2x threads).  Smaller bounds memory tighter; larger absorbs
@@ -54,30 +61,149 @@ struct ChunkSchedulerConfig {
   size_t max_in_flight = 0;
 };
 
-/// Fans per-chunk work onto a private ThreadPool with a bounded
-/// in-flight window and commits results on the calling thread in strict
-/// chunk-index order (see the file comment for the full contract).
-/// Reusable: run_ordered may be called any number of times.
+/// Fans per-chunk work onto a private ThreadPool (none at one thread)
+/// with a bounded in-flight window and commits results on the calling
+/// thread in strict chunk-index order (see the file comment for the
+/// full contract).  Reusable: any number of runs, one after another.
 class ParallelChunkScheduler {
  public:
-  /// Spawns the worker pool; both config fields accept 0 for defaults.
+  /// Spawns the worker pool when more than one thread is resolved; both
+  /// config fields accept 0 for defaults.
   explicit ParallelChunkScheduler(const ChunkSchedulerConfig& config = {})
-      : pool_(config.threads),
+      : threads_(config.threads != 0 ? config.threads
+                                     : default_thread_count()),
         window_(config.max_in_flight != 0 ? config.max_in_flight
-                                          : 2 * pool_.thread_count()) {}
+                                          : 2 * threads_) {
+    if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
+  }
 
-  /// Worker threads in the underlying pool.
-  size_t thread_count() const { return pool_.thread_count(); }
+  /// Worker threads (1 = inline on the caller, no pool).
+  size_t thread_count() const { return threads_; }
   /// Resolved backpressure window (submitted-but-uncommitted bound).
   size_t window() const { return window_; }
+
+  /// One ordered run, fed by pushes (see the file comment): index i is
+  /// the i-th pushed input.  Destruction waits for every in-flight task,
+  /// so produce's captures only need to outlive the run.
+  template <typename Input, typename Result>
+  class OrderedRun {
+   public:
+    using Produce = std::function<Result(size_t, size_t, Input&&)>;
+    using Commit = std::function<void(size_t, Result&&)>;
+
+    OrderedRun(ParallelChunkScheduler& sched, Produce produce, Commit commit)
+        : sched_(sched),
+          produce_(std::move(produce)),
+          commit_(std::move(commit)),
+          st_(std::make_shared<Shared>()) {}
+
+    ~OrderedRun() {
+      std::unique_lock<std::mutex> lock(st_->mu);
+      st_->cv.wait(lock, [&] { return st_->in_flight == 0; });
+    }
+
+    /// Inputs pushed so far (the index the next push gets).
+    size_t pushed() const { return next_; }
+
+    /// Submits the next index.  Blocks only when window() indices are
+    /// outstanding: it then waits for the oldest and commits it first.
+    void push(Input&& input) {
+      if (next_ - st_->base >= sched_.window_) commit_one(true);
+      const size_t index = next_++;
+      {
+        std::lock_guard<std::mutex> lock(st_->mu);
+        st_->slots.emplace_back();
+        ++st_->in_flight;
+      }
+      if (!sched_.pool_) return run_one(st_, produce_, 0, index, input);
+      // The input rides to the worker in a shared_ptr: std::function
+      // requires copyable callables, and chunk inputs (large buffers)
+      // must move, not copy.
+      auto in = std::make_shared<Input>(std::move(input));
+      sched_.pool_->submit([st = st_, produce = &produce_, index, in] {
+        run_one(st, *produce, ThreadPool::current_worker_index(), index,
+                *in);
+      });
+    }
+
+    /// Commits the oldest outstanding index; false when there is none,
+    /// or (wait == false) when it has not completed yet.  A produce
+    /// exception is rethrown here, in index order.
+    bool commit_one(bool wait) {
+      std::unique_lock<std::mutex> lock(st_->mu);
+      const auto done = [&] {
+        return st_->slots.front().result || st_->slots.front().error;
+      };
+      if (st_->slots.empty() || (!wait && !done())) return false;
+      st_->cv.wait(lock, done);
+      Slot slot = std::move(st_->slots.front());
+      st_->slots.pop_front();
+      const size_t index = st_->base++;
+      lock.unlock();
+      if (slot.error) std::rethrow_exception(slot.error);
+      commit_(index, std::move(*slot.result));
+      return true;
+    }
+
+    /// Commits, in index order, every result already completed.
+    void commit_ready() {
+      while (commit_one(false)) {
+      }
+    }
+
+    /// Blocks until every pushed index is committed.
+    void finish() {
+      while (commit_one(true)) {
+      }
+    }
+
+   private:
+    struct Slot {
+      std::optional<Result> result;
+      std::exception_ptr error;
+    };
+    // Completion state lives on the heap, co-owned by every worker task:
+    // the drain wait can return (and the run be destroyed) the moment
+    // in_flight hits zero, while the worker that decremented it is still
+    // between releasing the mutex and its final notify.
+    struct Shared {
+      std::mutex mu;
+      std::condition_variable cv;
+      std::deque<Slot> slots;  ///< outstanding indices [base, base + size)
+      size_t base = 0;         ///< written by the caller thread only
+      size_t in_flight = 0;    ///< pushed, not yet produced
+    };
+
+    static void run_one(const std::shared_ptr<Shared>& st,
+                        const Produce& produce, size_t worker, size_t index,
+                        Input& input) {
+      Slot done;
+      try {
+        done.result.emplace(produce(worker, index, std::move(input)));
+      } catch (...) {
+        done.error = std::current_exception();
+      }
+      {
+        std::lock_guard<std::mutex> lock(st->mu);
+        st->slots[index - st->base] = std::move(done);
+        --st->in_flight;
+      }
+      st->cv.notify_all();
+    }
+
+    ParallelChunkScheduler& sched_;
+    Produce produce_;
+    Commit commit_;
+    std::shared_ptr<Shared> st_;
+    size_t next_ = 0;
+  };
 
   /// Runs produce(worker, index) for every index in [0, n) across the
   /// pool and feeds each result to commit(index, result) on this thread
   /// in strictly increasing index order, holding at most window() chunks
-  /// in flight.  `worker` is in [0, thread_count()).  The first
-  /// exception thrown by produce or commit aborts the run (no further
-  /// submissions or commits), is held until every in-flight task has
-  /// drained, and is then rethrown here.
+  /// in flight.  `worker` is in [0, thread_count()).  Exceptions follow
+  /// the file comment: the first produce failure in index order (or any
+  /// commit failure) is rethrown here after every in-flight task drained.
   template <typename Result>
   void run_ordered(size_t n,
                    const std::function<Result(size_t, size_t)>& produce,
@@ -93,115 +219,30 @@ class ParallelChunkScheduler {
 
   /// run_ordered with a chunk *producer*: feed(index) runs on the
   /// CALLING thread, in strictly increasing index order, immediately
-  /// before index is submitted to the pool — so a sequential input
-  /// stream (a pipe, a file) can be cut into chunks without pre-reading
-  /// the whole input.  Its return value is handed to produce on the
-  /// worker.  At most window() fed inputs + uncommitted results exist at
-  /// any moment, which is the streaming codec's memory bound:
+  /// before index is submitted — so a sequential input stream (a pipe, a
+  /// file) can be cut into chunks without pre-reading the whole input.
+  /// Its return value is handed to produce.  At most window() fed inputs
+  /// + uncommitted results exist at any moment, which is the streaming
+  /// codec's memory bound:
   ///   peak ~= window x (fed chunk + produced result).
-  /// Exception contract matches run_ordered; feed exceptions abort the
-  /// run the same way.
+  /// A loop over OrderedRun; feed exceptions propagate like commit's.
   template <typename Input, typename Result>
   void run_ordered_fed(
       size_t n, const std::function<Input(size_t)>& feed,
       const std::function<Result(size_t, size_t, Input&&)>& produce,
       const std::function<void(size_t, Result&&)>& commit) {
-    if (n == 0) return;
-    // Completion state lives on the heap, co-owned by every worker task:
-    // the drain wait below can return (and this frame unwind) the moment
-    // in_flight hits zero, while the worker that decremented it is still
-    // between releasing the mutex and its final notify — with stack
-    // state that last notify would touch a dead cv (a real
-    // stack-use-after-scope, caught by ASan under load).
-    struct Shared {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::map<size_t, Result> ready;  // completed, awaiting ordered commit
-      std::exception_ptr error;
-      size_t in_flight = 0;  // submitted, not yet completed
-    };
-    const auto st = std::make_shared<Shared>();
-    size_t next_submit = 0;
-    size_t next_commit = 0;
-
-    // Captures `st` by value: after the decrement a worker touches only
-    // shared state it co-owns.  `produce` stays a reference — it is only
-    // entered before the decrement, which the drain wait covers.
-    const auto run_one = [st, &produce](size_t index, Input& input) {
-      std::optional<Result> r;
-      try {
-        r.emplace(produce(ThreadPool::current_worker_index(), index,
-                          std::move(input)));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(st->mu);
-        if (!st->error) st->error = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(st->mu);
-        if (r.has_value()) st->ready.emplace(index, std::move(*r));
-        --st->in_flight;
-      }
-      st->cv.notify_all();
-    };
-
-    std::unique_lock<std::mutex> lock(st->mu);
-    while (next_commit < n && !st->error) {
-      // Keep the window full.  Feeding + submission happen unlocked
-      // (feed may block on input I/O; the pool has its own mutex).
-      while (next_submit < n && next_submit - next_commit < window_ &&
-             !st->error) {
-        const size_t index = next_submit++;
-        ++st->in_flight;
-        lock.unlock();
-        // The input rides to the worker in a shared_ptr: std::function
-        // requires copyable callables, and chunk inputs (large buffers)
-        // must move, not copy.  run_one is copied into the task for the
-        // same lifetime reason as `st` above.
-        std::shared_ptr<Input> input;
-        try {
-          input = std::make_shared<Input>(feed(index));
-        } catch (...) {
-          lock.lock();
-          if (!st->error) st->error = std::current_exception();
-          --st->in_flight;
-          break;
-        }
-        pool_.submit([run_one, index, input] { run_one(index, *input); });
-        lock.lock();
-      }
-      if (st->error) break;
-      st->cv.wait(lock, [&] {
-        return st->ready.count(next_commit) > 0 || st->error;
-      });
-      // Commit every contiguous ready result, unlocked (commit may do
-      // real work: appending frames, merging metrics).
-      while (!st->error) {
-        auto it = st->ready.find(next_commit);
-        if (it == st->ready.end()) break;
-        Result r = std::move(it->second);
-        st->ready.erase(it);
-        lock.unlock();
-        try {
-          commit(next_commit, std::move(r));
-        } catch (...) {
-          lock.lock();
-          if (!st->error) st->error = std::current_exception();
-          break;
-        }
-        lock.lock();
-        ++next_commit;
-      }
+    OrderedRun<Input, Result> run(*this, produce, commit);
+    for (size_t i = 0; i < n; ++i) {
+      run.push(feed(i));
+      run.commit_ready();
     }
-    // Drain before returning or rethrowing: in-flight tasks reference
-    // `produce` until their decrement, and the rethrow needs the final
-    // error value.
-    st->cv.wait(lock, [&] { return st->in_flight == 0; });
-    if (st->error) std::rethrow_exception(st->error);
+    run.finish();
   }
 
  private:
-  ThreadPool pool_;
+  unsigned threads_;
   size_t window_;
+  std::unique_ptr<ThreadPool> pool_;  ///< null at one thread
 };
 
 }  // namespace szsec::parallel

@@ -4,6 +4,7 @@
 
 #include "common/bufpool.h"
 #include "core/codec.h"
+#include "parallel/chunk_scheduler.h"
 
 namespace szsec::parallel {
 
@@ -51,8 +52,8 @@ SlabCompressResult compress_slabs_impl(ByteSink& sink,
                                        const SlabConfig& config,
                                        crypto::CtrDrbg* seed_drbg) {
   SZSEC_REQUIRE(data.size() == dims.count(), "data size mismatch");
-  ThreadPool pool(config.threads);
-  const SlabPlan plan = plan_slabs(dims, config, pool.thread_count());
+  ParallelChunkScheduler sched(ChunkSchedulerConfig{config.threads, 0});
+  const SlabPlan plan = plan_slabs(dims, config, sched.thread_count());
 
   // Derive per-slab DRBGs up front so IV generation is race-free and
   // deterministic for a seeded master DRBG.
@@ -69,13 +70,16 @@ SlabCompressResult compress_slabs_impl(ByteSink& sink,
   const core::codec::CodecConfig cfg = runtime.config();
 
   std::vector<core::CompressResult> results(plan.count);
-  parallel_for(pool, plan.count, [&](size_t i) {
-    const std::span<const T> slab =
-        data.subspan(plan.start[i] * plan.plane,
-                     plan.extent[i] * plan.plane);
-    results[i] = core::codec::encode_payload(
-        cfg, slab, slab_dims(dims, plan.extent[i]), &drbgs[i]);
-  });
+  sched.run_ordered<core::CompressResult>(
+      plan.count,
+      [&](size_t, size_t i) {
+        const std::span<const T> slab =
+            data.subspan(plan.start[i] * plan.plane,
+                         plan.extent[i] * plan.plane);
+        return core::codec::encode_payload(
+            cfg, slab, slab_dims(dims, plan.extent[i]), &drbgs[i]);
+      },
+      [&](size_t i, core::CompressResult&& r) { results[i] = std::move(r); });
 
   // The prelude is tiny; everything after it streams slab by slab
   // through the sink (v1's length-before-container layout needs no
@@ -258,8 +262,8 @@ std::vector<T> decompress_slabs_impl(BytesView archive, BytesView key,
   // straight into its slice of `out` with pooled inflate scratch.
   core::codec::RuntimeCache runtimes(key);
   BufferPool scratch;
-  ThreadPool pool(config.threads);
-  parallel_for(pool, parsed.slabs.size(), [&](size_t i) {
+  ParallelChunkScheduler sched(ChunkSchedulerConfig{config.threads, 0});
+  sched.run_ordered<bool>(parsed.slabs.size(), [&](size_t, size_t i) {
     const core::Header& h = headers[i];
     core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
     spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
@@ -276,7 +280,8 @@ std::vector<T> decompress_slabs_impl(BytesView archive, BytesView key,
     }
     (void)core::codec::decode_payload(runtime.config(), parsed.slabs[i],
                                       opts);
-  });
+    return true;
+  }, [](size_t, bool&&) {});
   return out;
 }
 

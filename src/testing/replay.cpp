@@ -1,9 +1,12 @@
 #include "testing/replay.h"
 
 #include <cstdlib>
+#include <optional>
 
 #include "archive/chunked.h"
 #include "archive/seekable.h"
+#include "common/crc32.h"
+#include "core/sansio.h"
 #include "core/secure_compressor.h"
 #include "crypto/cipher.h"
 #include "huffman/huffman.h"
@@ -19,6 +22,74 @@ Bytes replay_key(size_t n) {
   return k;
 }
 
+namespace {
+
+template <typename T>
+Bytes raw_bytes(const std::vector<T>& v) {
+  const auto* p = reinterpret_cast<const uint8_t*>(v.data());
+  return Bytes(p, p + v.size() * sizeof(T));
+}
+
+/// Decodes `input` through a threads=1 sans-io decoder Context, feeding
+/// and pulling at split points derived from the input bytes (mostly 1-8
+/// bytes, sometimes up to 4 KiB).  nullopt when the Context rejects the
+/// input with a szsec::Error; any other exception, or a machine wanting
+/// input after finish(), aborts.
+std::optional<Bytes> context_decode(BytesView input, BytesView key,
+                                    bool salvage) {
+  uint32_t x = crc32(input) | 1;  // xorshift32 state: never zero
+  const auto split = [&]() -> size_t {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    return (x & 3) != 0 ? 1 + x % 8 : 1 + (x >> 2) % 4096;
+  };
+  try {
+    sansio::DecoderConfig dc;
+    dc.key.assign(key.begin(), key.end());
+    dc.salvage = salvage;
+    dc.fill = archive::FallbackFill::kZeros;
+    const auto ctx = sansio::Context::decoder(dc);
+    Bytes out;
+    uint8_t buf[4096];
+    size_t fed = 0, n = 0;
+    bool finished = false;
+    for (sansio::Status st = ctx->status(); st != sansio::Status::kDone;) {
+      if (st == sansio::Status::kHaveOutput) {
+        st = ctx->pull(std::span<uint8_t>(buf, split()), n);
+        out.insert(out.end(), buf, buf + n);
+      } else if (fed < input.size()) {
+        st = ctx->feed(input.subspan(fed).first(
+                           std::min(split(), input.size() - fed)),
+                       n);
+        fed += n;
+      } else if (!finished) {
+        finished = true;
+        st = ctx->finish();
+      } else {
+        std::abort();
+      }
+    }
+    return out;
+  } catch (const Error&) {
+    return std::nullopt;
+  } catch (...) {
+    std::abort();
+  }
+}
+
+/// Where a one-shot decode produced `want`, strict and salvage Contexts
+/// must both reproduce it byte for byte.
+void check_contexts(BytesView input, BytesView key,
+                    const std::optional<Bytes>& want) {
+  for (const bool salvage : {false, true}) {
+    const std::optional<Bytes> got = context_decode(input, key, salvage);
+    if (want && got != want) std::abort();
+  }
+}
+
+}  // namespace
+
 void replay_decode(BytesView input) {
   core::Header h;
   try {
@@ -31,13 +102,17 @@ void replay_decode(BytesView input) {
   spec.mode = h.cipher_mode;
   spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
   const Bytes key = replay_key(crypto::cipher_key_size(h.cipher_kind));
+  const BytesView k =
+      h.scheme == core::Scheme::kNone ? BytesView{} : BytesView(key);
+  std::optional<Bytes> want;
   try {
-    const core::SecureCompressor c(
-        sz::Params{}, h.scheme,
-        h.scheme == core::Scheme::kNone ? BytesView{} : BytesView(key), spec);
-    (void)c.decompress(input);
+    const core::SecureCompressor c(sz::Params{}, h.scheme, k, spec);
+    const core::DecompressResult r = c.decompress(input);
+    want = r.dtype == sz::DType::kFloat32 ? raw_bytes(r.f32)
+                                          : raw_bytes(r.f64);
   } catch (const Error&) {
   }
+  check_contexts(input, k, want);
 }
 
 void replay_huffman(BytesView input) {
@@ -75,14 +150,18 @@ void replay_chunked(BytesView input) {
     (void)archive::read_chunk_index(input);
   } catch (const Error&) {
   }
+  std::optional<Bytes> want;
   try {
-    (void)archive::decompress_chunked_f32(input, BytesView(key), cfg);
+    want = raw_bytes(archive::decompress_chunked_f32(input, BytesView(key),
+                                                     cfg));
   } catch (const Error&) {
   }
   try {
-    (void)archive::decompress_chunked_f64(input, BytesView(key), cfg);
+    want = raw_bytes(archive::decompress_chunked_f64(input, BytesView(key),
+                                                     cfg));
   } catch (const Error&) {
   }
+  check_contexts(input, BytesView(key), want);
   archive::SalvageOptions opts;
   opts.threads = 1;
   try {

@@ -22,7 +22,11 @@ namespace szsec::testing {
 Bytes replay_key(size_t n);
 
 /// Arbitrary bytes into the v2 container decoder (header peek, then a
-/// full decode keyed per the header's cipher kind).
+/// full decode keyed per the header's cipher kind), then through strict
+/// and salvage sans-io decoder Contexts fed and drained at split points
+/// derived from the input; where the one-shot decode succeeds, both
+/// Contexts must reproduce its bytes, and any non-szsec::Error exception
+/// aborts.
 void replay_decode(BytesView input);
 
 /// Framed input ([count u16][tree_len u16][tree][codewords]) into the
@@ -34,7 +38,8 @@ void replay_huffman(BytesView input);
 void replay_zlite(BytesView input);
 
 /// Arbitrary bytes into the v3 chunked-archive surfaces: strict index
-/// parse, strict f32/f64 decode, and salvage decode.
+/// parse, strict f32/f64 decode, salvage decode, and the same split-point
+/// Context differential as replay_decode (against the strict decode).
 void replay_chunked(BytesView input);
 
 /// Dispatches to the replay function for a corpus family name

@@ -391,6 +391,21 @@ TEST(CApiRoundTrip, DribbleStreamingMatchesOneShot) {
 
   ASSERT_EQ(streamed.size(), oneshot_len);
   EXPECT_EQ(std::memcmp(streamed.data(), oneshot, oneshot_len), 0);
+
+  // A strict v3 decode reports the archive's chunk count too.
+  uint8_t* plain = nullptr;
+  size_t plain_len = 0;
+  szsec_info dinfo;
+  std::memset(&dinfo, 0, sizeof(dinfo));
+  dinfo.struct_size = sizeof(dinfo);
+  ASSERT_EQ(szsec_decompress(nullptr, kKey.data(), kKey.size(), oneshot,
+                             oneshot_len, &plain, &plain_len, &dinfo),
+            SZSEC_OK);
+  EXPECT_EQ(dinfo.container, SZSEC_CONTAINER_V3_CHUNKED);
+  EXPECT_EQ(dinfo.salvage_used, 0);
+  EXPECT_EQ(dinfo.chunk_count, 3u);
+  EXPECT_EQ(plain_len, raw_len);
+  szsec_buffer_free(plain);
   szsec_buffer_free(oneshot);
 }
 

@@ -317,7 +317,12 @@ TEST(DurabilityTransport, RetrySourceAbsorbsBurstsDuringDecode) {
   archive::decompress_chunked_stream(clean_src, clean_out, BytesView(c.key),
                                      campaign_config());
 
-  MemorySource inner{BytesView(c.archive)};
+  // Faults are drawn per read call, and the decoder reads in as few
+  // calls as the archive allows; 64-byte reads keep the transport
+  // delivering the archive in many calls, so bursts land mid-prelude and
+  // mid-frame.
+  MemorySource whole{BytesView(c.archive)};
+  ChokedSource inner(whole, 64);
   testing::FaultPlan plan;
   plan.transient_rate = 0.2;
   plan.burst_len = 2;

@@ -35,22 +35,6 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(f.get(), Error);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(pool, hits.size(), [&](size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForRethrows) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 10,
-                            [](size_t i) {
-                              if (i == 7) throw Error("task failed");
-                            }),
-               Error);
-}
-
 TEST(ThreadPool, DestructorJoinsCleanly) {
   std::atomic<int> counter{0};
   {

@@ -10,8 +10,11 @@
 // contract of golden_container_test.cpp.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <random>
+#include <thread>
 
 #include "archive/chunked.h"
 #include "common/hex.h"
@@ -576,16 +579,159 @@ TEST(SansIoMisuse, ResultBeforeDoneThrowsStateError) {
   EXPECT_THROW(ctx->result(), sansio::StateError);
 }
 
+/// A v3 archive big enough that decoding keeps a pool busy for a while:
+/// 16 chunks of a 64x64x64 field.
+Bytes big_archive() {
+  const Dims dims{64, 64, 64};
+  const std::vector<float> f = field_f32(dims, 3);
+  archive::ChunkedConfig cc;
+  cc.threads = 4;
+  cc.chunks = 16;
+  crypto::CtrDrbg drbg(0x5EED);
+  return archive::compress_chunked(std::span<const float>(f), dims,
+                                   small_params(), core::Scheme::kEncrHuffman,
+                                   BytesView(kKey), {}, cc, &drbg)
+      .archive;
+}
+
 TEST(SansIoMisuse, AbandonedContextTearsDownCleanly) {
   // Destroying a context mid-run (bytes fed, output pending, no finish)
-  // must join the driver without leaks or hangs — ASan/TSan legs verify.
+  // must drain its codec work without leaks or hangs — ASan/TSan verify.
   auto ctx = sansio::Context::encoder(encoder_config(
       core::Scheme::kEncrHuffman, sz::DType::kFloat32,
       sansio::Container::kV3Chunked));
   const std::vector<float> f = field_f32(kSmallDims, 7);
   size_t consumed = 0;
   ctx->feed(as_bytes(f), consumed);
-  // No finish, no pull: the destructor aborts the pump.
+  // No finish, no pull: the destructor drops the run.
+
+  // A threads=4 decoder destroyed while chunks are still decoding on its
+  // pool: the destructor must wait for them before freeing their state.
+  const Bytes archive = big_archive();
+  sansio::DecoderConfig dc;
+  dc.key = kKey;
+  dc.threads = 4;
+  auto dec = sansio::Context::decoder(dc);
+  dec->feed(archive, consumed);
+  EXPECT_GT(consumed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Thread gate: a Context starts no thread of its own; only a codec pool
+// (threads > 1) adds workers.
+
+/// Threads of this process right now (/proc/self/task entries).
+size_t live_threads() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// live_threads() once joined pool workers have left /proc (a joined
+/// thread's entry can outlive pthread_join by a moment).
+size_t settled_threads(size_t want) {
+  size_t n = live_threads();
+  for (int i = 0; i < 200 && n != want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    n = live_threads();
+  }
+  return n;
+}
+
+/// Feeds the first half of `input`, checks the thread count mid-run
+/// (output pending where the container streams it), then completes the
+/// run.  Returns the most threads seen while the context was alive.
+size_t threads_during_run(sansio::Context& ctx, BytesView input,
+                          bool expect_output_midway) {
+  size_t consumed = 0;
+  const BytesView half = input.first(input.size() / 2);
+  size_t fed = 0;
+  while (fed < half.size()) {
+    ctx.feed(half.subspan(fed), consumed);
+    fed += consumed;
+    if (consumed == 0) break;  // output backed up: pending is enough
+  }
+  if (expect_output_midway) {
+    EXPECT_EQ(ctx.status(), sansio::Status::kHaveOutput);
+  }
+  size_t peak = live_threads();
+  pump(ctx, input.subspan(fed), 4096, 4096);
+  peak = std::max(peak, live_threads());
+  return peak;
+}
+
+TEST(SansIoThreads, OneThreadContextsStartNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const size_t base = live_threads();
+  const Bytes archive = big_archive();
+
+  // v2 round trip.
+  {
+    const std::vector<float> f = field_f32(kSmallDims, 7);
+    auto enc = sansio::Context::encoder(encoder_config(
+        core::Scheme::kEncrHuffman, sz::DType::kFloat32,
+        sansio::Container::kV2Single));
+    EXPECT_EQ(threads_during_run(*enc, as_bytes(f), false), base);
+    const Bytes v2 = oneshot_encode(core::Scheme::kEncrHuffman,
+                                    sz::DType::kFloat32,
+                                    sansio::Container::kV2Single);
+    sansio::DecoderConfig dc;
+    dc.key = kKey;
+    auto dec = sansio::Context::decoder(dc);
+    EXPECT_EQ(threads_during_run(*dec, v2, false), base);
+  }
+  // v3 encode, strict decode and salvage decode at threads=1.
+  {
+    const std::vector<float> f = field_f32(kSmallDims, 7);
+    auto enc = sansio::Context::encoder(encoder_config(
+        core::Scheme::kEncrHuffman, sz::DType::kFloat32,
+        sansio::Container::kV3Chunked));
+    EXPECT_EQ(threads_during_run(*enc, as_bytes(f), false), base);
+    for (const bool salvage : {false, true}) {
+      SCOPED_TRACE(salvage ? "salvage" : "strict");
+      sansio::DecoderConfig dc;
+      dc.key = kKey;
+      dc.threads = 1;
+      dc.salvage = salvage;
+      auto dec = sansio::Context::decoder(dc);
+      EXPECT_EQ(threads_during_run(*dec, archive, true), base);
+    }
+  }
+  EXPECT_EQ(live_threads(), base);
+}
+
+TEST(SansIoThreads, FourThreadContextsAddAtMostTheirPool) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  const size_t base = live_threads();
+  const Bytes archive = big_archive();
+  {
+    sansio::DecoderConfig dc;
+    dc.key = kKey;
+    dc.threads = 4;
+    auto dec = sansio::Context::decoder(dc);
+    EXPECT_LE(threads_during_run(*dec, archive, false), base + 4);
+  }
+  {
+    const Dims dims{64, 64, 64};
+    const std::vector<float> f = field_f32(dims, 3);
+    sansio::EncoderConfig cfg = encoder_config(
+        core::Scheme::kEncrHuffman, sz::DType::kFloat32,
+        sansio::Container::kV3Chunked);
+    cfg.dims = dims;
+    cfg.chunks = 16;
+    cfg.threads = 4;
+    auto enc = sansio::Context::encoder(cfg);
+    EXPECT_LE(threads_during_run(*enc, as_bytes(f), false), base + 4);
+  }
+  EXPECT_EQ(settled_threads(base), base);
 }
 
 TEST(SansIo, DecoderToleratesTrailingBytes) {

@@ -21,12 +21,16 @@ TEST(ThreadPool, WorkerIndicesAreDistinctAndInRange) {
   ThreadPool pool(4);
   EXPECT_EQ(ThreadPool::current_worker_index(), ThreadPool::kNotAWorker);
   std::vector<std::atomic<int>> hits(4);
-  parallel_for(pool, 256, [&](size_t) {
-    const size_t w = ThreadPool::current_worker_index();
-    ASSERT_LT(w, 4u);
-    ++hits[w];
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  });
+  std::vector<std::future<void>> done;
+  for (int i = 0; i < 256; ++i) {
+    done.push_back(pool.submit([&] {
+      const size_t w = ThreadPool::current_worker_index();
+      ASSERT_LT(w, 4u);
+      ++hits[w];
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }));
+  }
+  for (auto& f : done) f.get();
   int total = 0;
   for (auto& h : hits) total += h.load();
   EXPECT_EQ(total, 256);
