@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <ostream>
 #include <random>
 
 #include "common/hex.h"
@@ -25,6 +27,13 @@ struct AesKat {
   const char* plain;
   const char* cipher;
 };
+
+// Print a case as its key size.  Without this gtest prints the three
+// pointers, and ctest names the test after them, so the name would
+// change from run to run under ASLR.
+void PrintTo(const AesKat& kat, std::ostream* os) {
+  *os << "Aes" << std::strlen(kat.key) * 4;
+}
 
 class AesKatTest : public ::testing::TestWithParam<AesKat> {};
 
