@@ -26,8 +26,6 @@ using parallel::SlabPlan;
 
 constexpr uint64_t kMaxExtent = uint64_t{1} << 40;
 constexpr size_t kMarkerSize = sizeof(uint64_t);
-/// Largest read of the blocking strict decode loop.
-constexpr size_t kStreamBlock = size_t{64} << 10;
 
 template <typename T>
 constexpr sz::DType dtype_of() {
@@ -113,6 +111,16 @@ Dims dims_from_extents(const size_t* extents, size_t rank) {
   }
 }
 
+/// A chunk's rank and plane (non-slowest) dims against the field's:
+/// the failure reason, or empty.
+std::string check_plane(const Dims& chunk, const Dims& field) {
+  if (chunk.rank() != field.rank()) return "rank mismatch";
+  for (size_t i = 1; i < chunk.rank(); ++i) {
+    if (chunk[i] != field[i]) return "plane dims mismatch";
+  }
+  return {};
+}
+
 }  // namespace
 
 std::string check_chunk_header(const core::Header& h, uint64_t frame_rows,
@@ -120,43 +128,18 @@ std::string check_chunk_header(const core::Header& h, uint64_t frame_rows,
                                std::optional<sz::DType> dtype) {
   if (h.dims[0] != frame_rows) return "container rows != frame rows";
   if (field_dims) {
-    if (h.dims.rank() != field_dims->rank()) return "rank mismatch";
-    for (size_t i = 1; i < h.dims.rank(); ++i) {
-      if (h.dims[i] != (*field_dims)[i]) return "plane dims mismatch";
-    }
+    std::string bad = check_plane(h.dims, *field_dims);
+    if (!bad.empty()) return bad;
   }
   if (dtype && h.dtype != *dtype) return "container dtype mismatch";
   return {};
 }
 
-namespace {
-
-/// One chunk container's decode outcome.  Failures are values, never
-/// exceptions: strict callers turn them into "chunk i: reason" errors,
-/// salvage into report entries.
-struct ChunkDecode {
-  std::string error;    ///< failure reason; empty on success
-  bool crypto = false;  ///< the failure was a MAC/cipher rejection
-  Dims dims;            ///< the chunk's own dims (on success)
-  /// Elements (unless decoded into a span or `rows`) and stage metrics.
-  core::DecompressResult r;
-  Bytes rows;  ///< raw element bytes when decoded into a row buffer
-};
-
-/// The one chunk validator behind every decoder — strict in-memory,
-/// streaming, salvage (both), and SeekableReader: check_chunk_header,
-/// then the decode itself (straight into opts.into_f32/into_f64, or into
-/// `rows` resized to the chunk, when given).  A cryptographic
-/// failure (MAC mismatch, cipher rejection) sets `crypto`, so strict
-/// callers can surface a CryptoError instead of a generic CorruptError —
-/// a wrong tenant key and flipped archive bytes are different operator
-/// problems.
 ChunkDecode decode_chunk(BytesView container, uint64_t frame_rows,
                          const std::optional<Dims>& field_dims,
                          std::optional<sz::DType> dtype,
                          RuntimeCache& runtimes,
-                         core::codec::DecodeOptions opts,
-                         Bytes* rows = nullptr) {
+                         const core::codec::DecodeOptions& opts) {
   ChunkDecode d;
   const auto reason = [&]() -> std::string {
     const core::Header h = core::peek_header(container);
@@ -165,24 +148,11 @@ ChunkDecode decode_chunk(BytesView container, uint64_t frame_rows,
     core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
     spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
     const CodecRuntime& runtime = runtimes.get(h.params, h.scheme, spec);
-    if (rows != nullptr) {
-      // Raw row bytes into a caller-recycled buffer: steady-state
-      // streaming then allocates no output per chunk.
-      rows->resize(h.dims.count() * sz::dtype_size(h.dtype));
-      if (h.dtype == sz::DType::kFloat32) {
-        opts.into_f32 = std::span<float>(
-            reinterpret_cast<float*>(rows->data()), h.dims.count());
-      } else {
-        opts.into_f64 = std::span<double>(
-            reinterpret_cast<double*>(rows->data()), h.dims.count());
-      }
-    }
     const size_t into = h.dtype == sz::DType::kFloat32
                             ? opts.into_f32.size()
                             : opts.into_f64.size();
     if (into != 0 && into != h.dims.count()) return "decoded size mismatch";
     d.r = core::codec::decode_payload(runtime.config(), container, opts);
-    d.dims = h.dims;
     return {};
   };
   try {
@@ -195,6 +165,8 @@ ChunkDecode decode_chunk(BytesView container, uint64_t frame_rows,
   }
   return d;
 }
+
+namespace {
 
 /// Scan-only salvage report (no index): each recovered chunk in id
 /// order as kRelocated, preceded by a kMissing entry for any row gap
@@ -833,19 +805,6 @@ SeekTable read_seek_table(BytesView archive) {
   return seek_table_from_index(read_chunk_index(archive));
 }
 
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               RuntimeCache& runtimes,
-                               const std::optional<Dims>& field_dims,
-                               std::optional<sz::DType> dtype,
-                               const core::codec::DecodeOptions& opts) {
-  if (opts.into_f32.empty() && opts.into_f64.empty()) {
-    return "empty destination span";
-  }
-  return decode_chunk(frame.container, frame.row_extent, field_dims, dtype,
-                      runtimes, opts)
-      .error;
-}
-
 std::vector<std::unique_ptr<WorkerState>> make_worker_states(size_t count,
                                                              BytesView key) {
   std::vector<std::unique_ptr<WorkerState>> states;
@@ -857,6 +816,20 @@ std::vector<std::unique_ptr<WorkerState>> make_worker_states(size_t count,
 }
 
 namespace {
+
+/// The strict decoders' framing check: chunk i's frame at `pos` must
+/// parse, agree with its index entry and pass its CRC.
+FrameInfo indexed_frame(BytesView bytes, size_t pos, size_t i,
+                        const ChunkEntry& e) {
+  const std::optional<FrameInfo> f = parse_frame(bytes, pos);
+  SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
+  SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
+                         f->row_extent == e.row_extent &&
+                         f->frame_len == e.frame_len,
+                     "frame disagrees with index");
+  SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
+  return *f;
+}
 
 /// Turns a failed chunk decode into the strict decoders' typed error.
 [[noreturn]] void throw_chunk_error(size_t i, const ChunkDecode& d) {
@@ -881,14 +854,7 @@ std::vector<T> decompress_chunked_impl(BytesView archive, BytesView key,
     SZSEC_CHECK_FORMAT(e.offset <= archive.size() &&
                            e.frame_len <= archive.size() - e.offset,
                        "frame extends past archive end");
-    const std::optional<FrameInfo> f = parse_frame(archive, e.offset);
-    SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
-    SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
-                           f->row_extent == e.row_extent &&
-                           f->frame_len == e.frame_len,
-                       "frame disagrees with index");
-    SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
-    frames.push_back(*f);
+    frames.push_back(indexed_frame(archive, e.offset, i, e));
   }
 
   // Per-worker runtime caches + scratch pools: key schedules are built
@@ -953,24 +919,16 @@ struct ChunkedDecoder::Impl {
             [this](size_t i, ChunkDecode&& d) { commit(i, std::move(d)); }) {}
 
   ChunkDecode produce(size_t worker, size_t i, Bytes&& frame) {
-    const ChunkEntry& e = index->entries[i];
-    const std::optional<FrameInfo> f = parse_frame(BytesView(frame), 0);
-    SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
-    SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
-                           f->row_extent == e.row_extent &&
-                           f->frame_len == e.frame_len,
-                       "frame disagrees with index");
-    SZSEC_CHECK_FORMAT(f->crc_ok, "chunk CRC mismatch");
+    const FrameInfo f =
+        indexed_frame(BytesView(frame), 0, i, index->entries[i]);
     // Decode failures are error *values* (the commit turns them into
     // "chunk i: reason"), matching the in-memory strict decoder.  The
     // dtype is checked at commit, against the first chunk's.
     core::codec::DecodeOptions opts;
     opts.pool = &workers[worker]->scratch;
-    Bytes rows = rows_pool.acquire();
-    ChunkDecode d = decode_chunk(f->container, f->row_extent, index->dims,
+    ChunkDecode d = decode_chunk(f.container, f.row_extent, index->dims,
                                  std::nullopt, workers[worker]->runtimes,
-                                 opts, &rows);
-    d.rows = std::move(rows);
+                                 opts);
     frame_pool.release(std::move(frame));
     return d;
   }
@@ -984,64 +942,98 @@ struct ChunkedDecoder::Impl {
       throw CorruptError("chunk " + std::to_string(i) +
                          ": container dtype mismatch");
     }
-    out.write(BytesView(d.rows));
-    res.elements += d.rows.size() / sz::dtype_size(d.r.dtype);
-    res.element_bytes += d.rows.size();
+    const BytesView rows = core::element_bytes(d.r);
+    out.write(rows);
+    res.elements += rows.size() / sz::dtype_size(d.r.dtype);
+    res.element_bytes += rows.size();
     if (metrics != nullptr) metrics->merge(d.r.times);
-    rows_pool.release(std::move(d.rows));
   }
 
   uint64_t wanted() const {
-    return index ? body_left : prelude_ready_at - prelude.size();
+    if (!index) return prelude_ready_at - prelude.size();
+    return run.pushed() < index->entries.size() ? body_left : 0;
+  }
+
+  /// Room for up to `n` more input bytes at the end of the buffer they
+  /// belong to: the prelude until the index parses, then the frame being
+  /// cut.  Never past wanted(), so whatever follows the last indexed
+  /// frame (a seek footer, the next message) is left to the caller.
+  std::span<uint8_t> space(size_t n) {
+    // frame_len is an untrusted varint (only > 0 at index parse) and a
+    // stream has no known total size to bound it against: never
+    // allocate it upfront — a forged index naming ~2^64 would turn the
+    // allocation into an untyped std::length_error/bad_alloc.  Buffers
+    // grow by at most kGrowCap at a time, and only as bytes arrive.
+    constexpr uint64_t kGrowCap = uint64_t{4} << 20;
+    uint64_t room = wanted();
+    Bytes* buf = &prelude;
+    if (index) {
+      const uint64_t len = index->entries[run.pushed()].frame_len;
+      if (frame.empty()) {
+        frame = frame_pool.acquire(
+            static_cast<size_t>(std::min<uint64_t>(len, kGrowCap)));
+      }
+      room = len - frame.size();
+      buf = &frame;
+    }
+    const size_t have = buf->size();
+    buf->resize(have + static_cast<size_t>(std::min<uint64_t>(
+                           {room, uint64_t{n}, kGrowCap})));
+    return std::span<uint8_t>(*buf).subspan(have);
+  }
+
+  /// Keeps the first `n` bytes of the last space(), then parses the
+  /// prelude or hands a completed frame to the scheduler.
+  void took(std::span<uint8_t> to, size_t n) {
+    Bytes& buf = index ? frame : prelude;
+    buf.resize(buf.size() - (to.size() - n));
+    if (index) {
+      body_left -= n;
+      if (frame.size() == index->entries[run.pushed()].frame_len) {
+        run.push(std::exchange(frame, Bytes{}));
+      }
+    } else if (prelude.size() == prelude_ready_at) {
+      parse_prelude();
+    }
+  }
+
+  void parse_prelude() {
+    try {
+      IndexMemReader r(BytesView(prelude), /*partial=*/true);
+      index = parse_chunk_index(r);
+    } catch (const NeedMoreInput& e) {
+      prelude_ready_at = prelude.size() + e.more;
+      return;
+    }
+    // prelude_ready_at never passes the prelude's end (NeedMoreInput is
+    // a lower bound), so the buffer held exactly the prelude.
+    prelude = Bytes{};
+    res.dims = index->dims;
+    res.chunk_count = index->entries.size();
+    // Frames are dense: the archive's indexed bytes end after the sum of
+    // the (untrusted, so saturating) frame lengths.
+    for (const ChunkEntry& e : index->entries) {
+      body_left = e.frame_len > ~uint64_t{0} - body_left
+                      ? ~uint64_t{0}
+                      : body_left + e.frame_len;
+    }
   }
 
   void feed(BytesView in) {
-    if (!index) {
-      prelude.insert(prelude.end(), in.begin(), in.end());
-      if (prelude.size() < prelude_ready_at) return;
-      try {
-        IndexMemReader r(BytesView(prelude), /*partial=*/true);
-        index = parse_chunk_index(r);
-      } catch (const NeedMoreInput& e) {
-        prelude_ready_at = prelude.size() + e.more;
-        return;
-      }
-      res.dims = index->dims;
-      res.chunk_count = index->entries.size();
-      // Frames are dense: the archive's indexed bytes end after the sum
-      // of the (untrusted, so saturating) frame lengths.
-      for (const ChunkEntry& e : index->entries) {
-        body_left = e.frame_len > ~uint64_t{0} - body_left
-                        ? ~uint64_t{0}
-                        : body_left + e.frame_len;
-      }
-      cut_frames(BytesView(prelude).subspan(index->body_start));
-      prelude = Bytes{};
-      return;
+    while (!in.empty() && wanted() > 0) {
+      const std::span<uint8_t> to = space(in.size());
+      std::memcpy(to.data(), in.data(), to.size());
+      in = in.subspan(to.size());
+      took(to, to.size());
     }
-    cut_frames(in);
   }
 
-  void cut_frames(BytesView in) {
-    while (!in.empty() && run.pushed() < index->entries.size()) {
-      const ChunkEntry& e = index->entries[run.pushed()];
-      // frame_len is an untrusted varint (only > 0 at index parse) and a
-      // stream has no known total size to bound it against: never
-      // allocate it upfront — a forged index naming ~2^64 would turn
-      // the reservation into an untyped std::length_error/bad_alloc.
-      // The buffer grows only with bytes actually pushed.
-      constexpr uint64_t kFrameReserveCap = uint64_t{4} << 20;
-      if (frame.empty()) {
-        frame = frame_pool.acquire(static_cast<size_t>(
-            std::min<uint64_t>(e.frame_len, kFrameReserveCap)));
-      }
-      const size_t n = static_cast<size_t>(
-          std::min<uint64_t>(e.frame_len - frame.size(), in.size()));
-      frame.insert(frame.end(), in.begin(), in.begin() + n);
-      in = in.subspan(n);
-      body_left -= n;
-      if (frame.size() == e.frame_len) run.push(std::exchange(frame, Bytes{}));
-    }
+  size_t feed_from(ByteSource& src) {
+    if (wanted() == 0) return 0;
+    const std::span<uint8_t> to = space(std::numeric_limits<size_t>::max());
+    const size_t n = src.read(to);
+    took(to, n);
+    return n;
   }
 
   ChunkedStreamDecodeResult finish() {
@@ -1067,7 +1059,6 @@ struct ChunkedDecoder::Impl {
   ParallelChunkScheduler sched;
   const std::vector<std::unique_ptr<WorkerState>> workers;
   BufferPool frame_pool;
-  BufferPool rows_pool;
   Bytes prelude;  ///< pushed bytes buffered until the index parses
   uint64_t prelude_ready_at = sizeof(uint32_t);  ///< next parse attempt
   std::optional<ChunkIndex> index;
@@ -1089,6 +1080,10 @@ uint64_t ChunkedDecoder::wanted() const { return impl_->wanted(); }
 
 void ChunkedDecoder::feed(BytesView in) { impl_->feed(in); }
 
+size_t ChunkedDecoder::feed_from(ByteSource& in) {
+  return impl_->feed_from(in);
+}
+
 bool ChunkedDecoder::poll(bool wait) { return impl_->run.commit_one(wait); }
 
 ChunkedStreamDecodeResult ChunkedDecoder::finish() { return impl_->finish(); }
@@ -1097,14 +1092,7 @@ ChunkedStreamDecodeResult decompress_chunked_stream(
     ByteSource& in, ByteSink& out, BytesView key,
     const ChunkedConfig& config) {
   ChunkedDecoder dec(out, key, config);
-  Bytes block(kStreamBlock);
-  while (dec.wanted() > 0) {
-    // Never read past the archive's indexed bytes: whatever follows in
-    // the source (a seek footer, the next message) stays unread.
-    const size_t n = in.read(std::span<uint8_t>(block).first(
-        static_cast<size_t>(std::min<uint64_t>(block.size(), dec.wanted()))));
-    if (n == 0) break;
-    dec.feed(BytesView(block.data(), n));
+  while (dec.feed_from(in) > 0) {
     while (dec.poll()) {
     }
   }
@@ -1261,15 +1249,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
         const uint64_t id = jobs[j].first;
         const FrameInfo& f = *jobs[j].second;
         if (d.error.empty() && !produce_dims && field_dims) {
-          if (d.dims.rank() != field_dims->rank()) {
-            d.error = "rank mismatch";
-          } else {
-            for (size_t i = 1; i < d.dims.rank(); ++i) {
-              if (d.dims[i] != (*field_dims)[i]) {
-                d.error = "plane dims mismatch";
-              }
-            }
-          }
+          d.error = check_plane(d.r.dims, *field_dims);
         }
         if (!d.error.empty()) {
           failure[id] = d.error;
@@ -1278,7 +1258,7 @@ SalvageResult salvage_impl(BytesView archive, BytesView key,
         if (!field_dims) {
           // Scan-only recovery: plane dims come from the chunk itself;
           // the slowest extent is completed below from row coverage.
-          field_dims = d.dims;
+          field_dims = d.r.dims;
         }
         max_row_end = std::max(max_row_end, f.row_start + f.row_extent);
         std::vector<T>& data = salvage_field<T>(d.r);
@@ -1616,7 +1596,7 @@ struct ChunkedSalvager::Impl {
     ChunkDecode d = decode_chunk(
         container, fh.row_extent, field_dims,
         have_dtype ? std::optional<sz::DType>(res.dtype) : std::nullopt,
-        runtimes, dopts, &rows);
+        runtimes, dopts);
     if (d.error.empty() && fh.row_start < rows_done) {
       d.error = "rows precede already-emitted rows (single-pass order)";
     }
@@ -1631,13 +1611,14 @@ struct ChunkedSalvager::Impl {
       if (!field_dims) {
         // Scan-only recovery: plane dims come from the chunk itself; the
         // slowest extent is completed from row coverage at the end.
-        field_dims = d.dims;
+        field_dims = d.r.dims;
         plane = field_dims->count() / (*field_dims)[0];
       }
       build_fill_row();
     }
     emit_fill_rows(fh.row_start - rows_done);
-    out.write(BytesView(rows));
+    const BytesView rows = core::element_bytes(d.r);
+    out.write(rows);
     res.report.elements_recovered += rows.size() / elem_size;
     rows_done = fh.row_start + fh.row_extent;
     frame_bytes_recovered += frame_len;
@@ -1653,55 +1634,55 @@ struct ChunkedSalvager::Impl {
     win.close();
     scan();
     SalvageReport& rep = res.report;
-  // Tail fill + report.
-  if (index) {
-    if (have_dtype && rows_done < index->dims[0]) {
-      emit_fill_rows(index->dims[0] - rows_done);
-      rows_done = index->dims[0];
-    }
-    res.dims = index->dims;
-    rep.elements_total = index->dims.count();
-    rep.chunks_expected = index->entries.size();
-    for (size_t i = 0; i < index->entries.size(); ++i) {
-      const ChunkEntry& e = index->entries[i];
-      ChunkReport cr;
-      cr.chunk_id = i;
-      cr.row_start = e.row_start;
-      cr.row_extent = e.row_extent;
-      if (auto it = placed.find(i); it != placed.end()) {
-        cr.status = it->second.status;
-        cr.frame_bytes = it->second.frame_len;
-      } else if (failure.count(i) != 0) {
-        cr.status = ChunkStatus::kCorrupt;
-        cr.detail = failure[i];
-      } else {
-        cr.status = ChunkStatus::kMissing;
-        cr.detail = "no frame found";
+    // Tail fill + report.
+    if (index) {
+      if (have_dtype && rows_done < index->dims[0]) {
+        emit_fill_rows(index->dims[0] - rows_done);
+        rows_done = index->dims[0];
       }
-      rep.chunks.push_back(std::move(cr));
+      res.dims = index->dims;
+      rep.elements_total = index->dims.count();
+      rep.chunks_expected = index->entries.size();
+      for (size_t i = 0; i < index->entries.size(); ++i) {
+        const ChunkEntry& e = index->entries[i];
+        ChunkReport cr;
+        cr.chunk_id = i;
+        cr.row_start = e.row_start;
+        cr.row_extent = e.row_extent;
+        if (auto it = placed.find(i); it != placed.end()) {
+          cr.status = it->second.status;
+          cr.frame_bytes = it->second.frame_len;
+        } else if (failure.count(i) != 0) {
+          cr.status = ChunkStatus::kCorrupt;
+          cr.detail = failure[i];
+        } else {
+          cr.status = ChunkStatus::kMissing;
+          cr.detail = "no frame found";
+        }
+        rep.chunks.push_back(std::move(cr));
+      }
+      // Single-pass accounting: a trailing seek-table footer cannot be
+      // recognized without look-ahead, so unlike the in-memory salvage its
+      // bytes count as skipped here — an over-, never under-estimate.
+      const uint64_t accounted =
+          frame_bytes_recovered + index->body_start;
+      rep.bytes_skipped =
+          win.end() > accounted ? win.end() - accounted : 0;
+    } else {
+      if (field_dims) {
+        res.dims = parallel::slab_dims(*field_dims,
+                                       static_cast<size_t>(rows_done));
+        rep.elements_total = res.dims.count();
+      }
+      report_scan_only(rep, placed,
+                       [](const Placed& p) -> const Placed& { return p; });
+      rep.bytes_skipped = win.end() > frame_bytes_recovered
+                              ? win.end() - frame_bytes_recovered
+                              : 0;
     }
-    // Single-pass accounting: a trailing seek-table footer cannot be
-    // recognized without look-ahead, so unlike the in-memory salvage its
-    // bytes count as skipped here — an over-, never under-estimate.
-    const uint64_t accounted =
-        frame_bytes_recovered + index->body_start;
-    rep.bytes_skipped =
-        win.end() > accounted ? win.end() - accounted : 0;
-  } else {
-    if (field_dims) {
-      res.dims = parallel::slab_dims(*field_dims,
-                                     static_cast<size_t>(rows_done));
-      rep.elements_total = res.dims.count();
-    }
-    report_scan_only(rep, placed,
-                     [](const Placed& p) -> const Placed& { return p; });
-    rep.bytes_skipped = win.end() > frame_bytes_recovered
-                            ? win.end() - frame_bytes_recovered
-                            : 0;
-  }
-  rep.chunks_recovered = placed.size();
-  out.flush();
-  return res;
+    rep.chunks_recovered = placed.size();
+    out.flush();
+    return res;
   }
 
   ByteSink& out;
@@ -1710,7 +1691,6 @@ struct ChunkedSalvager::Impl {
   // single-threaded by design — ordered emission is the whole point).
   RuntimeCache runtimes;
   BufferPool scratch;
-  Bytes rows;  ///< decoded rows of the current chunk, reused
   ScanWindow win;
   bool prelude_done = false;
   uint64_t prelude_ready_at = 0;  ///< window size for the next parse try

@@ -244,6 +244,9 @@ class ChunkedDecoder {
   /// bound while the prelude is incomplete, exact after; 0 when done.
   uint64_t wanted() const;
   void feed(BytesView in);
+  /// One read from `in` straight into the prelude or frame being cut,
+  /// never past wanted(); returns the count, 0 at the end of either.
+  size_t feed_from(ByteSource& in);
   /// Writes the rows of the oldest outstanding chunk once it is decoded
   /// (waiting for it if `wait`); false when there is none to write.
   bool poll(bool wait = false);
@@ -368,17 +371,29 @@ std::string check_chunk_header(const core::Header& h, uint64_t frame_rows,
                                const std::optional<Dims>& field_dims,
                                std::optional<sz::DType> dtype);
 
+/// One chunk container's decode outcome.  Failures are values, never
+/// exceptions: strict callers turn them into "chunk i: reason" errors,
+/// salvage into report entries.
+struct ChunkDecode {
+  std::string error;    ///< failure reason; empty on success
+  bool crypto = false;  ///< the failure was a MAC/cipher rejection
+  /// The chunk's dims, dtype and stage metrics; its elements too unless
+  /// they were decoded into a caller's span.
+  core::DecompressResult r;
+};
+
 /// The one chunk validator and decoder shared by every v3 decoder,
-/// SeekableReader included: check_chunk_header, then the decode straight
-/// into opts.into_f32 / into_f64 (one must hold exactly the chunk's
-/// elements).  Returns the empty string on success, else a
-/// human-readable reason — decode failures, MAC and cipher rejections
-/// included, are values, never exceptions.
-std::string decode_chunk_frame(const FrameInfo& frame,
-                               core::codec::RuntimeCache& runtimes,
-                               const std::optional<Dims>& field_dims,
-                               std::optional<sz::DType> dtype,
-                               const core::codec::DecodeOptions& opts);
+/// SeekableReader included: check_chunk_header, then the decode (into
+/// opts.into_f32 / into_f64 when one is set; it must hold exactly the
+/// chunk's elements).  Output is sized only after the codec has checked
+/// the payload against the header's dims, so a forged header cannot
+/// force a large allocation.  A MAC or cipher rejection sets `crypto`,
+/// so strict callers can raise CryptoError instead of CorruptError.
+ChunkDecode decode_chunk(BytesView container, uint64_t frame_rows,
+                         const std::optional<Dims>& field_dims,
+                         std::optional<sz::DType> dtype,
+                         core::codec::RuntimeCache& runtimes,
+                         const core::codec::DecodeOptions& opts);
 
 /// Scratch one codec worker reuses chunk after chunk: key-schedule
 /// cache plus decode buffers, so workers never contend on a shared lock.

@@ -27,6 +27,18 @@ constexpr sz::DType dtype_of() {
 /// the streaming salvage bound.
 constexpr size_t kMaxSeekPrelude = size_t{16} << 20;
 
+/// The per-worker ROI decode scratch of element type T.
+template <typename T>
+std::vector<std::vector<T>>& roi_scratch(
+    std::vector<std::vector<float>>& f32,
+    std::vector<std::vector<double>>& f64) {
+  if constexpr (std::is_same_v<T, float>) {
+    return f32;
+  } else {
+    return f64;
+  }
+}
+
 /// Decode options reconstructing straight into `into`.
 template <typename T>
 core::codec::DecodeOptions decode_into(BufferPool* pool, std::span<T> into) {
@@ -190,6 +202,15 @@ SeekableReader::SeekableReader(std::unique_ptr<ByteSource> src,
 
 SeekableReader::~SeekableReader() = default;
 
+ParallelChunkScheduler& SeekableReader::pool() {
+  if (!sched_) {
+    sched_ = std::make_unique<ParallelChunkScheduler>(
+        ChunkSchedulerConfig{options_.threads, options_.max_in_flight});
+    workers_ = make_worker_states(sched_->thread_count(), BytesView(key_));
+  }
+  return *sched_;
+}
+
 std::unique_ptr<SeekableReader> SeekableReader::open(
     std::unique_ptr<ByteSource> src, BytesView key,
     const Options& options) {
@@ -267,12 +288,15 @@ void SeekableReader::read_range_impl(uint64_t elem_lo, uint64_t elem_hi,
       const std::span<T> into = out.subspan(
           static_cast<size_t>(e.elem_start - elem_lo),
           static_cast<size_t>(e.elem_count));
-      d.error = decode_chunk_frame(f, rc, table_.dims, dtype_of<T>(),
-                                   decode_into(pool, into));
+      d.error = decode_chunk(f.container, f.row_extent, table_.dims,
+                             dtype_of<T>(), rc, decode_into(pool, into))
+                    .error;
     } else {
       d.partial.resize(static_cast<size_t>(e.elem_count));
-      d.error = decode_chunk_frame(f, rc, table_.dims, dtype_of<T>(),
-                                   decode_into(pool, std::span<T>(d.partial)));
+      d.error = decode_chunk(f.container, f.row_extent, table_.dims,
+                             dtype_of<T>(), rc,
+                             decode_into(pool, std::span<T>(d.partial)))
+                    .error;
     }
   };
   const auto commit_one = [&](size_t chunk, Decoded&& d) {
@@ -297,11 +321,7 @@ void SeekableReader::read_range_impl(uint64_t elem_lo, uint64_t elem_hi,
     commit_one(c0, std::move(d));
     return;
   }
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{options_.threads, options_.max_in_flight});
-  const auto workers =
-      make_worker_states(sched.thread_count(), BytesView(key_));
-  sched.run_ordered_fed<Input, Decoded>(
+  pool().run_ordered_fed<Input, Decoded>(
       n,
       [&](size_t j) {
         Input in;
@@ -312,8 +332,8 @@ void SeekableReader::read_range_impl(uint64_t elem_lo, uint64_t elem_hi,
         // Fully covered chunks write disjoint slices of `out` directly
         // on the worker; only boundary chunks go through a temporary.
         Decoded d;
-        decode_one(c0 + j, in.frame, workers[worker]->runtimes,
-                   &workers[worker]->scratch, d);
+        decode_one(c0 + j, in.frame, workers_[worker]->runtimes,
+                   &workers_[worker]->scratch, d);
         return d;
       },
       [&](size_t j, Decoded&& d) { commit_one(c0 + j, std::move(d)); });
@@ -364,8 +384,10 @@ void SeekableReader::read_roi_impl(std::span<const size_t> origin,
                                      Decoded& d) {
     const SeekEntry& e = entries[chunk];
     scratch.resize(static_cast<size_t>(e.elem_count));
-    d.error = decode_chunk_frame(f, rc, table_.dims, dtype_of<T>(),
-                                 decode_into(pool, std::span<T>(scratch)));
+    d.error = decode_chunk(f.container, f.row_extent, table_.dims,
+                           dtype_of<T>(), rc,
+                           decode_into(pool, std::span<T>(scratch)))
+                  .error;
     if (!d.error.empty()) return;
     const uint64_t g_lo = std::max<uint64_t>(row_lo, e.row_start);
     const uint64_t g_hi =
@@ -385,11 +407,9 @@ void SeekableReader::read_roi_impl(std::span<const size_t> origin,
     }
     return;
   }
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{options_.threads, options_.max_in_flight});
-  const auto workers =
-      make_worker_states(sched.thread_count(), BytesView(key_));
-  std::vector<std::vector<T>> scratch(sched.thread_count());
+  ParallelChunkScheduler& sched = pool();
+  std::vector<std::vector<T>>& scratch = roi_scratch<T>(roi_f32_, roi_f64_);
+  scratch.resize(sched.thread_count());
   sched.run_ordered_fed<Input, Decoded>(
       n,
       [&](size_t j) {
@@ -399,8 +419,8 @@ void SeekableReader::read_roi_impl(std::span<const size_t> origin,
       },
       [&](size_t worker, size_t j, Input&& in) {
         Decoded d;
-        decode_and_gather(c0 + j, in.frame, workers[worker]->runtimes,
-                          &workers[worker]->scratch, scratch[worker], d);
+        decode_and_gather(c0 + j, in.frame, workers_[worker]->runtimes,
+                          &workers_[worker]->scratch, scratch[worker], d);
         return d;
       },
       [&](size_t j, Decoded&& d) {

@@ -22,8 +22,9 @@
 //     intersects).
 //
 // Multi-chunk requests fan out on ParallelChunkScheduler with in-order
-// commits; single-chunk requests decode serially on the calling thread
-// (no pool spin-up on the latency path).  Every frame is validated
+// commits; the first one starts the reader's pool, which later requests
+// reuse with their warm per-worker state.  Single-chunk requests decode
+// serially on the calling thread (no pool spin-up on the latency path).  Every frame is validated
 // against the seek table (id, rows, length, CRC) before its container
 // is decoded, and decode failures — wrong key included — surface as
 // typed errors (CorruptError/CryptoError), never as partial output.
@@ -37,6 +38,10 @@
 #include <string>
 
 #include "archive/chunked.h"
+
+namespace szsec::parallel {
+class ParallelChunkScheduler;
+}  // namespace szsec::parallel
 
 namespace szsec::archive {
 
@@ -147,9 +152,18 @@ class SeekableReader {
   uint64_t archive_size_ = 0;
   uint64_t bytes_read_ = 0;
   /// Key schedules for the serial (single-chunk) path, reused across
-  /// reads; multi-chunk fan-out builds per-worker caches instead.
+  /// reads; multi-chunk fan-out uses the per-worker caches below.
   core::codec::RuntimeCache runtimes_;
   BufferPool scratch_;
+  /// The multi-chunk reads' pool and per-worker state (key schedules,
+  /// buffers, ROI decode scratch), built by the first such read and kept,
+  /// so later reads start no thread and reuse warm memory.
+  std::unique_ptr<parallel::ParallelChunkScheduler> sched_;
+  std::vector<std::unique_ptr<WorkerState>> workers_;
+  std::vector<std::vector<float>> roi_f32_;
+  std::vector<std::vector<double>> roi_f64_;
+
+  parallel::ParallelChunkScheduler& pool();
 };
 
 }  // namespace szsec::archive

@@ -688,7 +688,7 @@ FrameSpool::~FrameSpool() {
 void FrameSpool::write(BytesView data) {
   if (data.empty()) return;
   if (backing_ == Backing::kMemory) {
-    mem_.insert(mem_.end(), data.begin(), data.end());
+    mem_.emplace_back(data.begin(), data.end());
   } else if (std::fwrite(data.data(), 1, data.size(), file_) !=
              data.size()) {
     throw errno_error("spool write failed");
@@ -698,9 +698,11 @@ void FrameSpool::write(BytesView data) {
 
 void FrameSpool::replay(ByteSink& out) {
   if (backing_ == Backing::kMemory) {
-    out.write(BytesView(mem_));
-    mem_.clear();
-    mem_.shrink_to_fit();
+    for (Bytes& b : mem_) {
+      out.write(BytesView(b));
+      b = Bytes{};
+    }
+    mem_ = {};
     size_ = 0;
     return;
   }

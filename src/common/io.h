@@ -725,14 +725,16 @@ class FrameSpool final : public ByteSink {
   /// Total bytes spooled so far.
   uint64_t size() const { return size_; }
 
-  /// Copies every spooled byte into `out` (fixed-size blocks for the
+  /// Copies every spooled byte into `out` (one write per spooled write
+  /// for the memory backing, freeing each as it goes, so replaying into
+  /// another buffer never holds two copies; fixed-size blocks for the
   /// temp-file backing) and resets the spool to empty.  Call at most
   /// once per filling.
   void replay(ByteSink& out);
 
  private:
   Backing backing_;
-  Bytes mem_;
+  std::vector<Bytes> mem_;  ///< one buffer per write
   std::FILE* file_ = nullptr;
   uint64_t size_ = 0;
 };

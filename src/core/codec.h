@@ -73,6 +73,15 @@ struct DecompressResult {
   PipelineMetrics times;
 };
 
+/// The raw little-endian bytes of a decode's populated f32/f64 vector.
+inline BytesView element_bytes(const DecompressResult& r) {
+  return r.dtype == sz::DType::kFloat32
+             ? BytesView(reinterpret_cast<const uint8_t*>(r.f32.data()),
+                         r.f32.size() * sizeof(float))
+             : BytesView(reinterpret_cast<const uint8_t*>(r.f64.data()),
+                         r.f64.size() * sizeof(double));
+}
+
 /// Parses and returns the plaintext header of a container without
 /// decrypting or decompressing anything.
 Header peek_header(BytesView container);

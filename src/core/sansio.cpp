@@ -1,6 +1,7 @@
 #include "core/sansio.h"
 
 #include <cstring>
+#include <deque>
 
 #include "core/container.h"
 #include "parallel/slab.h"
@@ -14,47 +15,75 @@ constexpr size_t kFeedSlice = size_t{1} << 20;
 /// feed() stops accepting input once this much output awaits pull().
 constexpr size_t kOutputHighWater = size_t{1} << 20;
 
-/// Output not yet pulled.  One buffer whose pulled prefix is dropped
-/// once it outweighs the rest (capacity kept), so steady-state output
-/// reuses the same pages and many small writes cost linear time.
+/// Output not yet pulled, as a FIFO of fixed-size blocks: growing it
+/// never copies what is already queued (a finishing v3 encoder queues
+/// its whole archive while its staged frames are freed one by one), and
+/// drained blocks are reused, so steady-state output touches the same
+/// pages.  A one-shot decode's result can follow the blocks uncopied.
 class OutputQueue final : public ByteSink {
  public:
   void write(BytesView data) override {
-    if (head_ > buf_.size() / 2) {
-      buf_.erase(buf_.begin(),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
+    while (!data.empty()) {
+      if (blocks_.empty() || blocks_.back().size() == kBlock) {
+        Bytes block;
+        if (!spare_.empty()) {
+          block = std::move(spare_.back());
+          spare_.pop_back();
+        }
+        block.reserve(kBlock);
+        blocks_.push_back(std::move(block));
+      }
+      Bytes& b = blocks_.back();
+      const size_t n = std::min(data.size(), kBlock - b.size());
+      b.insert(b.end(), data.begin(), data.begin() + n);
+      data = data.subspan(n);
+      in_blocks_ += n;
     }
-    buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
-  uint64_t pending() const { return buf_.size() - head_; }
+  /// Queues a one-shot decode's elements behind the pending bytes
+  /// without copying them; they are the context's last output and are
+  /// freed once pulled.
+  void adopt(core::DecompressResult&& r) {
+    tail_ = std::move(r);
+    tail_left_ = core::element_bytes(tail_);
+  }
+
+  uint64_t pending() const { return in_blocks_ - head_ + tail_left_.size(); }
 
   size_t read(std::span<uint8_t> out) {
-    const size_t n = std::min<size_t>(out.size(), pending());
-    std::memcpy(out.data(), buf_.data() + head_, n);
-    head_ += n;
-    if (head_ == buf_.size()) {
-      buf_.clear();
+    size_t n = 0;
+    while (n < out.size() && !blocks_.empty()) {
+      Bytes& b = blocks_.front();
+      const size_t k = std::min(out.size() - n, b.size() - head_);
+      std::memcpy(out.data() + n, b.data() + head_, k);
+      n += k;
+      head_ += k;
+      if (head_ < b.size()) break;
+      in_blocks_ -= b.size();
       head_ = 0;
+      b.clear();
+      if (spare_.size() < kSpareBlocks) spare_.push_back(std::move(b));
+      blocks_.pop_front();
     }
-    return n;
+    const size_t m = std::min(out.size() - n, tail_left_.size());
+    if (m > 0) std::memcpy(out.data() + n, tail_left_.data(), m);
+    tail_left_ = tail_left_.subspan(m);
+    if (m > 0 && tail_left_.empty()) tail_ = {};
+    return n + m;
   }
 
  private:
-  Bytes buf_;
-  size_t head_ = 0;  ///< bytes already pulled
+  static constexpr size_t kBlock = size_t{1} << 20;
+  /// Drained blocks kept for reuse (a few chunks' rows in flight).
+  static constexpr size_t kSpareBlocks = 8;
+  std::deque<Bytes> blocks_;
+  std::vector<Bytes> spare_;
+  uint64_t in_blocks_ = 0;  ///< bytes in blocks_, pulled ones included
+  size_t head_ = 0;         ///< bytes of the front block already pulled
+  core::DecompressResult tail_;
+  BytesView tail_left_;  ///< the part of tail_ not yet pulled
 };
-
-void emit_elements(ByteSink& sink, const core::DecompressResult& r) {
-  if (r.dtype == sz::DType::kFloat32) {
-    sink.write(BytesView(reinterpret_cast<const uint8_t*>(r.f32.data()),
-                         r.f32.size() * sizeof(float)));
-  } else {
-    sink.write(BytesView(reinterpret_cast<const uint8_t*>(r.f64.data()),
-                         r.f64.size() * sizeof(double)));
-  }
-}
 
 }  // namespace
 
@@ -185,19 +214,22 @@ void Context::Impl::finish_encode() {
     return;
   }
 
-  // v2 / v1 are one-shot formats: the whole field is buffered.
-  if (buffered.size() < expected_in) {
-    throw IoError("input ended after " + std::to_string(buffered.size()) +
-                  " of " + std::to_string(expected_in) + " field bytes");
+  // v2 / v1 are one-shot formats: the whole field is buffered (and
+  // freed here, once encoded).
+  const Bytes field_bytes = std::move(buffered);
+  if (field_bytes.size() < expected_in) {
+    throw IoError("input ended after " +
+                  std::to_string(field_bytes.size()) + " of " +
+                  std::to_string(expected_in) + " field bytes");
   }
   crypto::CtrDrbg* iv = drbg ? &*drbg : nullptr;
   const auto with_field = [&](auto encode) {
     const size_t n = enc.dims.count();
     return enc.dtype == sz::DType::kFloat32
                ? encode(std::span<const float>(
-                     reinterpret_cast<const float*>(buffered.data()), n))
+                     reinterpret_cast<const float*>(field_bytes.data()), n))
                : encode(std::span<const double>(
-                     reinterpret_cast<const double*>(buffered.data()), n));
+                     reinterpret_cast<const double*>(field_bytes.data()), n));
   };
   if (enc.container == Container::kV2Single) {
     const core::codec::CodecRuntime rt(enc.params, enc.scheme, enc.key,
@@ -243,8 +275,9 @@ void Context::Impl::finish_decode() {
     return;
   }
 
-  // One-shot formats: the whole container is in hand.
-  const Bytes& whole = buffered;
+  // One-shot formats: the whole container is in hand.  It is freed
+  // here; the decoded field is queued without a copy.
+  const Bytes whole = std::move(buffered);
   if (whole.size() < sizeof(uint32_t)) {
     throw CorruptError("input too short for a container magic");
   }
@@ -257,14 +290,14 @@ void Context::Impl::finish_decode() {
         h.cipher_kind, h.cipher_mode,
         (h.flags & core::kFlagAuthenticated) != 0};
     const core::codec::CodecRuntime rt(h.params, h.scheme, dec.key, spec);
-    const core::DecompressResult res =
+    core::DecompressResult res =
         core::codec::decode_payload(rt.config(), whole);
     r.container = Container::kV2Single;
     r.dims = res.dims;
     r.dtype = res.dtype;
     r.elements = res.dims.count();
     r.times = res.times;
-    emit_elements(out, res);
+    out.adopt(std::move(res));
     return;
   }
 
@@ -299,7 +332,7 @@ void Context::Impl::finish_decode() {
     } else {
       res.f64 = parallel::decompress_slabs_f64(whole, dec.key, sc);
     }
-    emit_elements(out, res);
+    out.adopt(std::move(res));
     return;
   }
 

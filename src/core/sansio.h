@@ -41,10 +41,14 @@
 //
 // Memory: v3 encode/decode hold the scheduler's in-flight window plus
 // output not yet pulled (feed() stops accepting input once about 1 MiB
-// of output waits; a v3 encoder additionally stages frames in memory
+// of output waits, and after finish() a v3 decoder emits one chunk at a
+// time as output is pulled).  A v3 encoder stages its frames in memory
 // until the index is written — the index precedes the frames and the
-// context has no temp file to spool through).  v2/v1 are one-shot
-// formats and buffer one whole field/container.
+// context has no temp file to spool through — so after finish() the
+// whole archive waits to be pulled (each staged frame is freed as it is
+// queued).  v2/v1 are one-shot formats: the whole field or container is
+// buffered until finish() and freed once the codec has run; a decoded
+// field is queued without a copy.
 //
 // Concurrency: a Context starts no thread of its own.  Every call runs
 // the codec on the caller's thread and returns once the machine has

@@ -252,6 +252,69 @@ TEST(DecoderHardening, ShortCodeStreamWithHugeDimsRejected) {
   EXPECT_THROW((void)c.decompress(BytesView(forged)), Error);
 }
 
+// The same forgery inside a v3 archive whose index (CRC re-sealed too)
+// agrees with the huge dims.  The streaming decoders must size a chunk's
+// output only after the codec has checked the payload against the dims,
+// so the 2^40-element claim fails typed instead of allocating 4 TiB.
+TEST(DecoderHardening, ChunkWithHugeDimsFailsTypedInStreamDecoders) {
+  const Dims dims{2, 8};
+  const std::vector<float> f = ramp(dims.count());
+  const core::SecureCompressor c(small_params(), core::Scheme::kNone);
+  const auto r = c.compress(std::span<const float>(f), dims);
+
+  core::Header h = core::peek_header(BytesView(r.container));
+  const size_t header_size = core::write_header(h).size();
+  const Bytes payload(r.container.begin() +
+                          static_cast<std::ptrdiff_t>(header_size),
+                      r.container.end());
+  const Dims huge{2, size_t{1} << 39};
+  h.dims = huge;
+  h.payload_crc = crc32(BytesView(payload),
+                        crc32(BytesView(core::header_semantic_bytes(h))));
+  Bytes container = core::write_header(h);
+  container.insert(container.end(), payload.begin(), payload.end());
+
+  ByteWriter fw;
+  fw.put_u64(archive::kResyncMarker);
+  fw.put_varint(0);  // chunk id
+  fw.put_varint(0), fw.put_varint(2);  // rows [0, 2)
+  fw.put_varint(container.size());
+  fw.put_u32(crc32(BytesView(container)));
+  fw.put_bytes(BytesView(container));
+  const Bytes frame = fw.take();
+
+  ByteWriter w;
+  w.put_u32(archive::kChunkedMagic);
+  w.put_u8(archive::kChunkedVersion);
+  w.put_u8(2);
+  w.put_varint(huge[0]), w.put_varint(huge[1]);
+  w.put_varint(1);  // one chunk
+  w.put_varint(0), w.put_varint(frame.size());  // offset, frame_len
+  w.put_varint(0), w.put_varint(2);             // rows [0, 2)
+  w.put_u32(crc32(BytesView(w.bytes())));
+  w.put_bytes(BytesView(frame));
+  const Bytes a = w.take();
+
+  MemorySource strict_in{BytesView(a)};
+  MemorySink strict_out;
+  EXPECT_THROW((void)archive::decompress_chunked_stream(strict_in,
+                                                        strict_out, {}),
+               CorruptError);
+  EXPECT_TRUE(strict_out.bytes().empty());
+
+  archive::SalvageOptions so;
+  so.fill = archive::FallbackFill::kZeros;
+  MemorySource salvage_in{BytesView(a)};
+  MemorySink salvage_out;
+  const archive::ChunkedStreamSalvageResult sr =
+      archive::salvage_chunked_stream(salvage_in, salvage_out, {}, so);
+  EXPECT_TRUE(sr.report.index_intact);
+  ASSERT_EQ(sr.report.chunks.size(), 1u);
+  EXPECT_EQ(sr.report.chunks[0].status, archive::ChunkStatus::kCorrupt);
+  EXPECT_EQ(sr.report.chunks_recovered, 0u);
+  EXPECT_TRUE(salvage_out.bytes().empty());
+}
+
 // Index rows are validated subtractively so row_start + row_extent can
 // never wrap uint64_t; a huge row_extent must die at the entry check.
 TEST(DecoderHardening, IndexRowExtentWrapRejected) {

@@ -616,6 +616,39 @@ TEST(SansIoMisuse, AbandonedContextTearsDownCleanly) {
   EXPECT_GT(consumed, 0u);
 }
 
+TEST(SansIoQueue, MultiBlockOutputMatchesOneShot) {
+  // 2 MiB of f64 rows, fed and pulled in odd-sized pieces: the output
+  // spans several of the output queue's blocks.  The v3 archive's rows
+  // are queued chunk by chunk; the v2 container's decoded field is
+  // adopted by the queue whole.
+  const Dims dims{64, 64, 64};
+  const std::vector<double> f = field_f64(dims);
+  crypto::CtrDrbg drbg(0x5EED);
+  archive::ChunkedConfig cc;
+  cc.threads = 1;
+  cc.chunks = 8;
+  const Bytes v3 =
+      archive::compress_chunked(std::span<const double>(f), dims,
+                                small_params(), core::Scheme::kEncrHuffman,
+                                BytesView(kKey), {}, cc, &drbg)
+          .archive;
+  const std::vector<double> want = archive::decompress_chunked_f64(v3, kKey);
+  const core::SecureCompressor c(small_params(), core::Scheme::kEncrHuffman,
+                                 BytesView(kKey), crypto::Mode::kCbc, &drbg);
+  const Bytes v2 = c.compress(std::span<const double>(f), dims).container;
+
+  for (const auto& [container, expect] :
+       {std::pair{v3, Bytes(as_bytes(want).begin(), as_bytes(want).end())},
+        std::pair{v2, oneshot_decode(v2, core::Scheme::kEncrHuffman)}}) {
+    ASSERT_GT(expect.size(), size_t{1} << 20);
+    sansio::DecoderConfig dc;
+    dc.key = kKey;
+    dc.threads = 1;
+    auto ctx = sansio::Context::decoder(dc);
+    EXPECT_EQ(pump(*ctx, container, 100003, 65537), expect);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Thread gate: a Context starts no thread of its own; only a codec pool
 // (threads > 1) adds workers.
