@@ -20,6 +20,8 @@
 #include "core/secure_compressor.h"
 #include "crypto/drbg.h"
 #include "huffman/huffman.h"
+#include "parallel/slab.h"
+#include "testing/mutators.h"
 #include "testing/replay.h"
 #include "zlite/zlite.h"
 
@@ -98,6 +100,21 @@ void emit_decode(const fs::path& root) {
     Bytes flipped = r.container;
     flipped[9] ^= 0x40;
     write_entry(dir, "header_bit_flip.bin", BytesView(flipped));
+  }
+  {  // v1 slab archives, which the decode surface routes by magic: an
+     // honest 3-slab archive, and one slab forged to claim 2 x 2^39
+     // elements that only the codec's own check can reject.
+    crypto::CtrDrbg drbg(0xC0'0012);
+    parallel::SlabConfig sc;
+    sc.threads = 1;
+    sc.slabs = 3;
+    const auto r = parallel::compress_slabs(
+        std::span<const float>(f), dims, params, core::Scheme::kCmprEncr,
+        BytesView(key16), {}, sc, &drbg);
+    write_entry(dir, "v1_three_slabs_aes128_cbc_f32.bin",
+                BytesView(r.archive));
+    write_entry(dir, "regress_v1_slab_huge_dims.bin",
+                BytesView(testing::huge_dims_v1_archive()));
   }
 }
 

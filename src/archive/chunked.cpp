@@ -24,7 +24,6 @@ using parallel::ParallelChunkScheduler;
 using parallel::SlabConfig;
 using parallel::SlabPlan;
 
-constexpr uint64_t kMaxExtent = uint64_t{1} << 40;
 constexpr size_t kMarkerSize = sizeof(uint64_t);
 
 template <typename T>
@@ -70,8 +69,8 @@ std::optional<FrameHead> parse_frame_head(BytesView v) {
     h.container_len = r.get_varint();
     h.crc = r.get_u32();
     h.head_len = r.pos();
-    if (h.chunk_id > kMaxExtent || h.row_start > kMaxExtent ||
-        h.row_extent == 0 || h.row_extent > kMaxExtent) {
+    if (h.chunk_id > Dims::kMaxExtent || h.row_start > Dims::kMaxExtent ||
+        h.row_extent == 0 || h.row_extent > Dims::kMaxExtent) {
       return std::nullopt;
     }
     return h;
@@ -96,19 +95,6 @@ size_t find_marker(BytesView archive, size_t pos) {
     ++pos;
   }
   return archive.size();
-}
-
-Dims dims_from_extents(const size_t* extents, size_t rank) {
-  switch (rank) {
-    case 1:
-      return Dims{extents[0]};
-    case 2:
-      return Dims{extents[0], extents[1]};
-    case 3:
-      return Dims{extents[0], extents[1], extents[2]};
-    default:
-      return Dims{extents[0], extents[1], extents[2], extents[3]};
-  }
 }
 
 /// A chunk's rank and plane (non-slowest) dims against the field's:
@@ -295,16 +281,7 @@ struct ChunkedEncoder::Impl {
   void commit(size_t i, ChunkProduct&& p) {
     frame_len[i] = p.frame.size();
     spool.write(BytesView(p.frame));
-    res.stats.raw_bytes += p.stats.raw_bytes;
-    res.stats.payload_bytes += p.stats.payload_bytes;
-    res.stats.tree_bytes += p.stats.tree_bytes;
-    res.stats.codeword_bytes += p.stats.codeword_bytes;
-    res.stats.unpredictable_bytes += p.stats.unpredictable_bytes;
-    res.stats.unpredictable_count += p.stats.unpredictable_count;
-    res.stats.element_count += p.stats.element_count;
-    res.stats.encrypted_bytes += p.stats.encrypted_bytes;
-    weighted_predictable +=
-        p.stats.predictable_fraction * p.stats.element_count;
+    stats.add(p.stats);
     res.times.merge(p.times);
   }
 
@@ -361,10 +338,7 @@ struct ChunkedEncoder::Impl {
                     std::to_string(run.pushed()) + ")");
     }
     run.finish();
-    res.stats.predictable_fraction =
-        res.stats.element_count == 0
-            ? 0
-            : weighted_predictable / res.stats.element_count;
+    res.stats = stats.total();
 
     ByteWriter w;
     w.put_u32(kChunkedMagic);
@@ -442,7 +416,7 @@ struct ChunkedEncoder::Impl {
   std::vector<uint64_t> frame_len;
   uint64_t left;  ///< field bytes not yet fed
   ChunkedStreamResult res;
-  double weighted_predictable = 0;
+  core::StatsSum stats;
   /// Last member: destroyed first, draining any chunk still on a worker
   /// while everything it touches is alive.
   ParallelChunkScheduler::OrderedRun<Bytes, ChunkProduct> run;
@@ -592,17 +566,8 @@ ChunkIndex parse_chunk_index(IndexMemReader& r) {
   SZSEC_CHECK_FORMAT(r.get_u32() == kChunkedMagic, "bad archive magic");
   SZSEC_CHECK_FORMAT(r.get_u8() == kChunkedVersion,
                      "unsupported archive version");
-  const uint8_t rank = r.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-  size_t extents[Dims::kMaxRank] = {};
-  for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = r.get_varint();
-    SZSEC_CHECK_FORMAT(e > 0 && e <= kMaxExtent, "bad extent");
-    extents[i] = static_cast<size_t>(e);
-  }
-  checked_field_elements(extents, rank);
   ChunkIndex out;
-  out.dims = dims_from_extents(extents, rank);
+  out.dims = read_dims(r);
   const uint64_t count = r.get_varint();
   SZSEC_CHECK_FORMAT(count >= 1 && count <= out.dims[0],
                      "implausible chunk count");
@@ -682,17 +647,8 @@ SeekTable parse_seek_footer(BytesView footer, uint64_t archive_size) {
                      "unsupported seek footer version");
   const uint8_t dtype_byte = r.get_u8();
   SZSEC_CHECK_FORMAT(dtype_byte <= 1, "bad seek footer dtype");
-  const uint8_t rank = r.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-  size_t extents[Dims::kMaxRank] = {};
-  for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = r.get_varint();
-    SZSEC_CHECK_FORMAT(e > 0 && e <= kMaxExtent, "bad extent");
-    extents[i] = static_cast<size_t>(e);
-  }
-  checked_field_elements(extents, rank);
   SeekTable out;
-  out.dims = dims_from_extents(extents, rank);
+  out.dims = read_dims(r);
   out.dtype = dtype_byte == 0 ? sz::DType::kFloat32 : sz::DType::kFloat64;
   out.from_footer = true;
   out.plane = out.dims.count() / out.dims[0];
@@ -817,11 +773,10 @@ std::vector<std::unique_ptr<WorkerState>> make_worker_states(size_t count,
 
 namespace {
 
-/// The strict decoders' framing check: chunk i's frame at `pos` must
-/// parse, agree with its index entry and pass its CRC.
-FrameInfo indexed_frame(BytesView bytes, size_t pos, size_t i,
-                        const ChunkEntry& e) {
-  const std::optional<FrameInfo> f = parse_frame(bytes, pos);
+/// The strict decoder's framing check: chunk i's frame must parse, agree
+/// with its index entry and pass its CRC.
+FrameInfo indexed_frame(BytesView frame, size_t i, const ChunkEntry& e) {
+  const std::optional<FrameInfo> f = parse_frame(frame, 0);
   SZSEC_CHECK_FORMAT(f.has_value(), "unparseable chunk frame");
   SZSEC_CHECK_FORMAT(f->chunk_id == i && f->row_start == e.row_start &&
                          f->row_extent == e.row_extent &&
@@ -838,73 +793,13 @@ FrameInfo indexed_frame(BytesView bytes, size_t pos, size_t i,
   throw CorruptError(msg);
 }
 
-template <typename T>
-std::vector<T> decompress_chunked_impl(BytesView archive, BytesView key,
-                                       const ChunkedConfig& config) {
-  const ChunkIndex index = read_chunk_index(archive);
-  const size_t plane = index.dims.count() / index.dims[0];
-  std::vector<T> out(index.dims.count());
-
-  // Validate every frame before spending any decode time.
-  std::vector<FrameInfo> frames;
-  for (size_t i = 0; i < index.entries.size(); ++i) {
-    const ChunkEntry& e = index.entries[i];
-    // Subtractive: both fields are untrusted varints, the naive sum can
-    // wrap uint64_t back under archive.size() (see verify_v3_chunk).
-    SZSEC_CHECK_FORMAT(e.offset <= archive.size() &&
-                           e.frame_len <= archive.size() - e.offset,
-                       "frame extends past archive end");
-    frames.push_back(indexed_frame(archive, e.offset, i, e));
-  }
-
-  // Per-worker runtime caches + scratch pools: key schedules are built
-  // at most once per worker, each chunk reconstructs straight into its
-  // slice of `out` (slices are disjoint, so workers never contend), and
-  // per-chunk metrics are merged in index order on this thread.
-  ParallelChunkScheduler sched(
-      ChunkSchedulerConfig{config.threads, config.max_in_flight});
-  const auto workers = make_worker_states(sched.thread_count(), key);
-  sched.run_ordered<ChunkDecode>(
-      frames.size(),
-      [&](size_t worker, size_t i) {
-        core::codec::DecodeOptions opts;
-        opts.pool = &workers[worker]->scratch;
-        const std::span<T> slice =
-            std::span<T>(out).subspan(frames[i].row_start * plane,
-                                      frames[i].row_extent * plane);
-        if constexpr (std::is_same_v<T, float>) {
-          opts.into_f32 = slice;
-        } else {
-          opts.into_f64 = slice;
-        }
-        return decode_chunk(frames[i].container, frames[i].row_extent,
-                            index.dims, dtype_of<T>(),
-                            workers[worker]->runtimes, opts);
-      },
-      [&](size_t i, ChunkDecode&& d) {
-        if (!d.error.empty()) throw_chunk_error(i, d);
-        if (config.metrics != nullptr) config.metrics->merge(d.r.times);
-      });
-  return out;
-}
-
 }  // namespace
 
-std::vector<float> decompress_chunked_f32(BytesView archive, BytesView key,
-                                          const ChunkedConfig& config) {
-  return decompress_chunked_impl<float>(archive, key, config);
-}
-
-std::vector<double> decompress_chunked_f64(BytesView archive, BytesView key,
-                                           const ChunkedConfig& config) {
-  return decompress_chunked_impl<double>(archive, key, config);
-}
-
-/// The one streaming strict decoder: buffers pushed bytes until the
-/// prelude parses, then cuts frames densely in index order (their
-/// lengths come from the index) and decodes them on the scheduler,
-/// writing each chunk's rows to the sink as it commits.  Bytes after the
-/// last indexed frame (a seek footer) are ignored.
+/// The one strict v3 decoder (in-memory, streaming and sans-io): buffers
+/// pushed bytes until the prelude parses, then cuts frames densely in
+/// index order (their lengths come from the index) and decodes them on
+/// the scheduler, writing each chunk's rows to the sink as it commits.
+/// Bytes after the last indexed frame (a seek footer) are ignored.
 struct ChunkedDecoder::Impl {
   Impl(ByteSink& sink, BytesView key, const ChunkedConfig& config)
       : out(sink),
@@ -919,11 +814,10 @@ struct ChunkedDecoder::Impl {
             [this](size_t i, ChunkDecode&& d) { commit(i, std::move(d)); }) {}
 
   ChunkDecode produce(size_t worker, size_t i, Bytes&& frame) {
-    const FrameInfo f =
-        indexed_frame(BytesView(frame), 0, i, index->entries[i]);
-    // Decode failures are error *values* (the commit turns them into
-    // "chunk i: reason"), matching the in-memory strict decoder.  The
-    // dtype is checked at commit, against the first chunk's.
+    const FrameInfo f = indexed_frame(BytesView(frame), i, index->entries[i]);
+    // Decode failures are error *values*: the commit turns them into
+    // "chunk i: reason" in index order.  The dtype is checked at commit,
+    // against the first chunk's.
     core::codec::DecodeOptions opts;
     opts.pool = &workers[worker]->scratch;
     ChunkDecode d = decode_chunk(f.container, f.row_extent, index->dims,
@@ -1097,6 +991,47 @@ ChunkedStreamDecodeResult decompress_chunked_stream(
     }
   }
   return dec.finish();
+}
+
+namespace {
+
+/// Collects a decode's rows in a vector that grows as chunks commit:
+/// nothing is sized from the dims the archive claims.
+template <typename T>
+struct ElementSink final : ByteSink {
+  void write(BytesView data) override {
+    const size_t at = bytes;
+    bytes += data.size();
+    elements.resize((bytes + sizeof(T) - 1) / sizeof(T));
+    std::memcpy(reinterpret_cast<uint8_t*>(elements.data()) + at,
+                data.data(), data.size());
+  }
+  std::vector<T> elements;
+  size_t bytes = 0;
+};
+
+template <typename T>
+std::vector<T> decompress_chunked_as(BytesView archive, BytesView key,
+                                     const ChunkedConfig& config) {
+  MemorySource in(archive);
+  ElementSink<T> sink;
+  const ChunkedStreamDecodeResult r =
+      decompress_chunked_stream(in, sink, key, config);
+  SZSEC_CHECK_FORMAT(r.dtype == dtype_of<T>(),
+                     "chunk 0: container dtype mismatch");
+  return std::move(sink.elements);
+}
+
+}  // namespace
+
+std::vector<float> decompress_chunked_f32(BytesView archive, BytesView key,
+                                          const ChunkedConfig& config) {
+  return decompress_chunked_as<float>(archive, key, config);
+}
+
+std::vector<double> decompress_chunked_f64(BytesView archive, BytesView key,
+                                           const ChunkedConfig& config) {
+  return decompress_chunked_as<double>(archive, key, config);
 }
 
 namespace {

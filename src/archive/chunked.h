@@ -177,8 +177,11 @@ ChunkedStreamResult compress_chunked_stream(
     const core::CipherSpec& spec = {}, const ChunkedConfig& config = {},
     crypto::CtrDrbg* seed_drbg = nullptr);
 
-/// Strict decode: requires every chunk intact; throws CorruptError on any
-/// damage (the fail-fast path for callers who cannot accept data loss).
+/// Strict decode (the fail-fast path for callers who cannot accept data
+/// loss): decompress_chunked_stream over the archive bytes, so its
+/// errors in its order, and output that grows as verified chunks commit,
+/// never sized from the dims the index claims.  An archive of the other
+/// element type is CorruptError.
 std::vector<float> decompress_chunked_f32(BytesView archive, BytesView key,
                                           const ChunkedConfig& config = {});
 std::vector<double> decompress_chunked_f64(BytesView archive, BytesView key,
@@ -199,8 +202,9 @@ struct ChunkedStreamDecodeResult {
 /// chunk-index order.  dtype-agnostic: the element type comes from the
 /// chunks themselves and is reported in the result; mixed dtypes are
 /// CorruptError.  Memory is bounded by the in-flight window, never by
-/// field or archive size.  Throws exactly where decompress_chunked_f32/
-/// f64 would (CorruptError on any damage).
+/// field or archive size.  Throws CorruptError on any damage, at the
+/// first damaged frame or chunk in stream order (CryptoError when that
+/// chunk fails its MAC or cipher check).
 ChunkedStreamDecodeResult decompress_chunked_stream(
     ByteSource& in, ByteSink& out, BytesView key,
     const ChunkedConfig& config = {});
@@ -230,11 +234,12 @@ class ChunkedEncoder {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Push-driven strict v3 decoder behind decompress_chunked_stream and
-/// sans-io decoder contexts: archive bytes in any split; each chunk's
-/// rows go to `out` in index order when the caller polls (or when the
-/// in-flight window is full).  Bytes past the last indexed frame are
-/// ignored; a prelude or frame cut short at finish() is CorruptError.
+/// Push-driven strict v3 decoder behind decompress_chunked_stream (and
+/// so decompress_chunked_f32/_f64) and sans-io decoder contexts: archive
+/// bytes in any split; each chunk's rows go to `out` in index order when
+/// the caller polls (or when the in-flight window is full).  Bytes past
+/// the last indexed frame are ignored; a prelude or frame cut short at
+/// finish() is CorruptError.
 class ChunkedDecoder {
  public:
   ChunkedDecoder(ByteSink& out, BytesView key,

@@ -20,15 +20,19 @@ class Dims {
 
   Dims() = default;
 
-  Dims(std::initializer_list<size_t> extents) {
-    SZSEC_REQUIRE(extents.size() >= 1 && extents.size() <= kMaxRank,
-                  "rank must be 1..4");
-    rank_ = extents.size();
-    size_t i = 0;
-    for (size_t e : extents) {
-      SZSEC_REQUIRE(e > 0, "zero extent");
-      d_[i++] = e;
+  Dims(std::initializer_list<size_t> extents)
+      : Dims(from_extents(extents.begin(), extents.size())) {}
+
+  /// The runtime-rank form of the initializer-list constructor.
+  static Dims from_extents(const size_t* extents, size_t rank) {
+    SZSEC_REQUIRE(rank >= 1 && rank <= kMaxRank, "rank must be 1..4");
+    Dims d;
+    d.rank_ = rank;
+    for (size_t i = 0; i < rank; ++i) {
+      SZSEC_REQUIRE(extents[i] > 0, "zero extent");
+      d.d_[i] = extents[i];
     }
+    return d;
   }
 
   size_t rank() const { return rank_; }
@@ -56,14 +60,12 @@ class Dims {
     return s;
   }
 
-  /// Per-axis extent cap shared by every untrusted-header parser
-  /// (container, chunked archive index, slab archive).
+  /// Per-axis extent cap for untrusted dims (see read_extents()).
   static constexpr uint64_t kMaxExtent = uint64_t{1} << 40;
 
-  /// Whole-field element cap for untrusted headers.  Axes that each
-  /// pass the per-axis cap can still multiply past 2^64 at rank 4, so
-  /// parsers must bound the product overflow-safely before sizing any
-  /// allocation from it; see checked_field_elements().
+  /// Whole-field element cap for untrusted dims.  Axes that each pass
+  /// the per-axis cap can still multiply past 2^64 at rank 4, so
+  /// read_extents() bounds the product overflow-safely.
   static constexpr uint64_t kMaxElements = uint64_t{1} << 40;
 
   bool operator==(const Dims& o) const {
@@ -88,23 +90,35 @@ class Dims {
   size_t rank_ = 0;
 };
 
-/// Validates extents decoded from an untrusted header: every axis in
-/// [1, Dims::kMaxExtent] and the whole-field product within
-/// Dims::kMaxElements, accumulated without ever overflowing uint64_t.
-/// Throws CorruptError on violation; returns the element count.
-inline uint64_t checked_field_elements(const size_t* extents, size_t rank) {
+/// The one reader for untrusted dims: `rank` varint extents from `r` (a
+/// ByteReader, or any reader with its get_varint()), each axis within
+/// [1, Dims::kMaxExtent] and the running product within
+/// Dims::kMaxElements, checked as it is read.  Throws CorruptError on
+/// violation, before anything can be sized from the dims.
+template <typename Reader>
+Dims read_extents(Reader& r, size_t rank) {
   SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
+  size_t extents[Dims::kMaxRank] = {};
   uint64_t total = 1;
   for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = extents[i];
+    const uint64_t e = r.get_varint();
     SZSEC_CHECK_FORMAT(e >= 1 && e <= Dims::kMaxExtent, "bad extent");
     // total * e <= kMaxElements, phrased divisionally so the product
     // is never actually formed when it would wrap.
     SZSEC_CHECK_FORMAT(e <= Dims::kMaxElements / total,
                        "field element count exceeds format limit");
     total *= e;
+    extents[i] = static_cast<size_t>(e);
   }
-  return total;
+  return Dims::from_extents(extents, rank);
+}
+
+/// read_extents behind its `u8 rank` byte: the `rank | varint
+/// extents[rank]` layout every container, archive and footer shares.
+template <typename Reader>
+Dims read_dims(Reader& r) {
+  const uint8_t rank = r.get_u8();
+  return read_extents(r, rank);
 }
 
 }  // namespace szsec

@@ -16,8 +16,9 @@
 //    that are returned on exit, so chunked decodes allocate nothing per
 //    chunk in steady state.
 //  * DecodeOptions::into_f32/into_f64 decode straight into caller
-//    memory (an archive writes each chunk into its slice of the final
-//    field); otherwise the result owns its element vector.
+//    memory (a seekable read writes each chunk into its slice of the
+//    caller's buffer); otherwise the result owns its element vector,
+//    sized only after the payload has been checked against the header.
 #pragma once
 
 #include <map>
@@ -53,6 +54,35 @@ struct CompressStats {
                ? 0.0
                : static_cast<double>(raw_bytes) / container_bytes;
   }
+};
+
+/// An archive's stats summed over its chunks or slabs, in index order;
+/// predictable_fraction is element-weighted (summed, divided once).
+/// container_bytes is the caller's, who knows the framing.
+class StatsSum {
+ public:
+  void add(const CompressStats& s) {
+    sum_.raw_bytes += s.raw_bytes;
+    sum_.payload_bytes += s.payload_bytes;
+    sum_.tree_bytes += s.tree_bytes;
+    sum_.codeword_bytes += s.codeword_bytes;
+    sum_.unpredictable_bytes += s.unpredictable_bytes;
+    sum_.unpredictable_count += s.unpredictable_count;
+    sum_.element_count += s.element_count;
+    sum_.encrypted_bytes += s.encrypted_bytes;
+    weighted_predictable_ += s.predictable_fraction * s.element_count;
+  }
+
+  CompressStats total() const {
+    CompressStats t = sum_;
+    t.predictable_fraction =
+        t.element_count == 0 ? 0 : weighted_predictable_ / t.element_count;
+    return t;
+  }
+
+ private:
+  CompressStats sum_;
+  double weighted_predictable_ = 0;
 };
 
 /// Result of one encode (SecureCompressor::compress keeps this type).

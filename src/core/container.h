@@ -97,28 +97,7 @@ inline Header read_header(ByteReader& reader) {
   const uint8_t dtype = reader.get_u8();
   SZSEC_CHECK_FORMAT(dtype <= 1, "unknown dtype");
   h.dtype = static_cast<sz::DType>(dtype);
-  const uint8_t rank = reader.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-  size_t extents[Dims::kMaxRank] = {};
-  for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = reader.get_varint();
-    SZSEC_CHECK_FORMAT(e > 0 && e <= Dims::kMaxExtent, "bad extent");
-    extents[i] = static_cast<size_t>(e);
-  }
-  checked_field_elements(extents, rank);
-  switch (rank) {
-    case 1:
-      h.dims = Dims{extents[0]};
-      break;
-    case 2:
-      h.dims = Dims{extents[0], extents[1]};
-      break;
-    case 3:
-      h.dims = Dims{extents[0], extents[1], extents[2]};
-      break;
-    default:
-      h.dims = Dims{extents[0], extents[1], extents[2], extents[3]};
-  }
+  h.dims = read_dims(reader);
   h.params.abs_error_bound = reader.get_f64();
   SZSEC_CHECK_FORMAT(h.params.abs_error_bound > 0, "bad error bound");
   h.params.quant_bins = reader.get_u32();

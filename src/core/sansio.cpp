@@ -302,37 +302,16 @@ void Context::Impl::finish_decode() {
   }
 
   if (magic == parallel::kArchiveMagic) {
-    const Dims dims = parallel::archive_dims(whole);
-    // The archive prelude carries no dtype; the first slab's container
-    // header does.  Walk to it (decompress_slabs_* re-validates all of
-    // this strictly).
-    ByteReader pr(whole);
-    pr.get_u32();  // magic
-    pr.get_u8();   // version
-    const uint8_t rank = pr.get_u8();
-    SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-    for (uint8_t i = 0; i < rank; ++i) pr.get_varint();
-    const uint64_t slabs = pr.get_varint();
-    SZSEC_CHECK_FORMAT(slabs >= 1, "empty slab archive");
-    const uint64_t len = pr.get_varint();
-    SZSEC_CHECK_FORMAT(len <= pr.remaining(), "slab length exceeds archive");
-    const core::Header h0 =
-        core::peek_header(pr.get_bytes(static_cast<size_t>(len)));
     parallel::SlabConfig sc;
     sc.threads = dec.threads;
+    parallel::SlabDecodeResult res =
+        parallel::decompress_slabs(whole, dec.key, sc);
     r.container = Container::kV1Slab;
-    r.dims = dims;
-    r.dtype = h0.dtype;
-    r.elements = dims.count();
-    r.chunk_count = static_cast<size_t>(slabs);
-    core::DecompressResult res;
-    res.dtype = h0.dtype;
-    if (h0.dtype == sz::DType::kFloat32) {
-      res.f32 = parallel::decompress_slabs_f32(whole, dec.key, sc);
-    } else {
-      res.f64 = parallel::decompress_slabs_f64(whole, dec.key, sc);
-    }
-    out.adopt(std::move(res));
+    r.dims = res.field.dims;
+    r.dtype = res.field.dtype;
+    r.elements = res.field.dims.count();
+    r.chunk_count = res.slab_count;
+    out.adopt(std::move(res.field));
     return;
   }
 

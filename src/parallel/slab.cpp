@@ -1,6 +1,7 @@
 #include "parallel/slab.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/bufpool.h"
 #include "core/codec.h"
@@ -9,16 +10,9 @@
 namespace szsec::parallel {
 
 Dims slab_dims(const Dims& dims, size_t slab_extent) {
-  switch (dims.rank()) {
-    case 1:
-      return Dims{slab_extent};
-    case 2:
-      return Dims{slab_extent, dims[1]};
-    case 3:
-      return Dims{slab_extent, dims[1], dims[2]};
-    default:
-      return Dims{slab_extent, dims[1], dims[2], dims[3]};
-  }
+  size_t extents[Dims::kMaxRank] = {slab_extent};
+  for (size_t i = 1; i < dims.rank(); ++i) extents[i] = dims[i];
+  return Dims::from_extents(extents, dims.rank());
 }
 
 SlabPlan plan_slabs(const Dims& dims, const SlabConfig& config,
@@ -69,7 +63,18 @@ SlabCompressResult compress_slabs_impl(ByteSink& sink,
   const core::codec::CodecRuntime runtime(params, scheme, key, spec);
   const core::codec::CodecConfig cfg = runtime.config();
 
-  std::vector<core::CompressResult> results(plan.count);
+  // v1 puts each slab's length right before its container, so the
+  // prelude goes out first and every slab as it commits: memory is the
+  // scheduler's in-flight window, never the whole archive.
+  CountingSink counted(&sink);
+  ByteWriter w;
+  w.put_u32(kArchiveMagic);
+  w.put_u8(kArchiveVersion);
+  w.put_u8(static_cast<uint8_t>(dims.rank()));
+  for (size_t i = 0; i < dims.rank(); ++i) w.put_varint(dims[i]);
+  w.put_varint(plan.count);
+  counted.write(BytesView(w.take()));
+  core::StatsSum stats;
   sched.run_ordered<core::CompressResult>(
       plan.count,
       [&](size_t, size_t i) {
@@ -79,47 +84,17 @@ SlabCompressResult compress_slabs_impl(ByteSink& sink,
         return core::codec::encode_payload(
             cfg, slab, slab_dims(dims, plan.extent[i]), &drbgs[i]);
       },
-      [&](size_t i, core::CompressResult&& r) { results[i] = std::move(r); });
-
-  // The prelude is tiny; everything after it streams slab by slab
-  // through the sink (v1's length-before-container layout needs no
-  // backpatching, unlike the v3 index).
-  CountingSink counted(&sink);
+      [&](size_t, core::CompressResult&& r) {
+        ByteWriter len;
+        len.put_varint(r.container.size());
+        counted.write(BytesView(len.take()));
+        counted.write(BytesView(r.container));
+        stats.add(r.stats);
+      });
+  sink.flush();
   SlabCompressResult out;
   out.slab_count = plan.count;
-  {
-    ByteWriter w;
-    w.put_u32(kArchiveMagic);
-    w.put_u8(kArchiveVersion);
-    w.put_u8(static_cast<uint8_t>(dims.rank()));
-    for (size_t i = 0; i < dims.rank(); ++i) w.put_varint(dims[i]);
-    w.put_varint(plan.count);
-    const Bytes prelude = w.take();
-    counted.write(BytesView(prelude));
-  }
-  double weighted_predictable = 0;
-  for (const core::CompressResult& r : results) {
-    ByteWriter len;
-    len.put_varint(r.container.size());
-    const Bytes len_bytes = len.take();
-    counted.write(BytesView(len_bytes));
-    counted.write(BytesView(r.container));
-    out.stats.raw_bytes += r.stats.raw_bytes;
-    out.stats.payload_bytes += r.stats.payload_bytes;
-    out.stats.tree_bytes += r.stats.tree_bytes;
-    out.stats.codeword_bytes += r.stats.codeword_bytes;
-    out.stats.unpredictable_bytes += r.stats.unpredictable_bytes;
-    out.stats.unpredictable_count += r.stats.unpredictable_count;
-    out.stats.element_count += r.stats.element_count;
-    out.stats.encrypted_bytes += r.stats.encrypted_bytes;
-    weighted_predictable +=
-        r.stats.predictable_fraction * r.stats.element_count;
-  }
-  out.stats.predictable_fraction =
-      out.stats.element_count == 0
-          ? 0
-          : weighted_predictable / out.stats.element_count;
-  sink.flush();
+  out.stats = stats.total();
   out.stats.container_bytes = counted.count();
   return out;
 }
@@ -199,29 +174,8 @@ ParsedArchive parse_archive(BytesView archive) {
   SZSEC_CHECK_FORMAT(r.get_u32() == kArchiveMagic, "bad archive magic");
   SZSEC_CHECK_FORMAT(r.get_u8() == kArchiveVersion,
                      "unsupported archive version");
-  const uint8_t rank = r.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad rank");
-  size_t extents[Dims::kMaxRank] = {};
-  for (size_t i = 0; i < rank; ++i) {
-    const uint64_t e = r.get_varint();
-    SZSEC_CHECK_FORMAT(e > 0 && e <= Dims::kMaxExtent, "bad extent");
-    extents[i] = static_cast<size_t>(e);
-  }
-  checked_field_elements(extents, rank);
   ParsedArchive out;
-  switch (rank) {
-    case 1:
-      out.dims = Dims{extents[0]};
-      break;
-    case 2:
-      out.dims = Dims{extents[0], extents[1]};
-      break;
-    case 3:
-      out.dims = Dims{extents[0], extents[1], extents[2]};
-      break;
-    default:
-      out.dims = Dims{extents[0], extents[1], extents[2], extents[3]};
-  }
+  out.dims = read_dims(r);
   const uint64_t count = r.get_varint();
   SZSEC_CHECK_FORMAT(count >= 1 && count <= out.dims[0],
                      "implausible slab count");
@@ -230,58 +184,70 @@ ParsedArchive parse_archive(BytesView archive) {
   return out;
 }
 
+/// Appends a decoded slab to the field; the field grows geometrically as
+/// slabs commit, never from the dims the archive claims.
 template <typename T>
-std::vector<T> decompress_slabs_impl(BytesView archive, BytesView key,
-                                     const SlabConfig& config) {
-  const ParsedArchive parsed = parse_archive(archive);
-  std::vector<T> out(parsed.dims.count());
-  const size_t plane = parsed.dims.count() / parsed.dims[0];
-  constexpr sz::DType kWant = std::is_same_v<T, float>
-                                  ? sz::DType::kFloat32
-                                  : sz::DType::kFloat64;
+void append(std::vector<T>& field, std::vector<T>&& slab) {
+  if (field.empty()) {
+    field = std::move(slab);
+  } else {
+    field.insert(field.end(), slab.begin(), slab.end());
+  }
+}
 
-  // Peek every header up front to learn slab extents and validate the
-  // archive is internally consistent.
-  std::vector<size_t> offsets;
+/// The v1 decoder.  `want` pins the element type (the typed entry
+/// points); otherwise the first slab's header sets it.
+SlabDecodeResult decode_slabs(BytesView archive, BytesView key,
+                              const SlabConfig& config,
+                              std::optional<sz::DType> want) {
+  const ParsedArchive parsed = parse_archive(archive);
+  const size_t plane = parsed.dims.count() / parsed.dims[0];
+
+  // Every header is checked against the prelude before any slab decodes.
+  // The checks size nothing: each slab's elements are allocated by
+  // decode_payload, after it has checked the payload against its header.
   std::vector<core::Header> headers;
-  size_t pos = 0;
+  size_t rows = 0;
   for (BytesView slab : parsed.slabs) {
     const core::Header h = core::peek_header(slab);
+    if (!want) want = h.dtype;
     SZSEC_CHECK_FORMAT(h.dims.rank() == parsed.dims.rank(),
                        "slab rank mismatch");
-    SZSEC_CHECK_FORMAT(h.dims.count() % plane == 0, "slab extent mismatch");
-    SZSEC_CHECK_FORMAT(h.dtype == kWant, "slab dtype mismatch");
-    offsets.push_back(pos);
+    SZSEC_CHECK_FORMAT(h.dims.count() / h.dims[0] == plane &&
+                           h.dims[0] <= parsed.dims[0] - rows,
+                       "slab extent mismatch");
+    SZSEC_CHECK_FORMAT(h.dtype == *want, "slab dtype mismatch");
+    rows += h.dims[0];
     headers.push_back(h);
-    pos += h.dims[0];
   }
-  SZSEC_CHECK_FORMAT(pos == parsed.dims[0],
+  SZSEC_CHECK_FORMAT(rows == parsed.dims[0],
                      "slab extents do not cover the field");
 
-  // Key schedules are cached across slabs; each slab reconstructs
-  // straight into its slice of `out` with pooled inflate scratch.
+  SlabDecodeResult out;
+  out.slab_count = parsed.slabs.size();
+  out.field.dims = parsed.dims;
+  out.field.dtype = *want;
+  // Key schedules are cached across slabs; inflate scratch is pooled.
   core::codec::RuntimeCache runtimes(key);
   BufferPool scratch;
   ParallelChunkScheduler sched(ChunkSchedulerConfig{config.threads, 0});
-  sched.run_ordered<bool>(parsed.slabs.size(), [&](size_t, size_t i) {
-    const core::Header& h = headers[i];
-    core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
-    spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
-    const core::codec::CodecRuntime& runtime =
-        runtimes.get(h.params, h.scheme, spec);
-    core::codec::DecodeOptions opts;
-    opts.pool = &scratch;
-    const std::span<T> slice =
-        std::span<T>(out).subspan(offsets[i] * plane, h.dims.count());
-    if constexpr (std::is_same_v<T, float>) {
-      opts.into_f32 = slice;
-    } else {
-      opts.into_f64 = slice;
-    }
-    (void)core::codec::decode_payload(runtime.config(), parsed.slabs[i],
-                                      opts);
-    return true;
-  }, [](size_t, bool&&) {});
+  sched.run_ordered<core::DecompressResult>(
+      parsed.slabs.size(),
+      [&](size_t, size_t i) {
+        const core::Header& h = headers[i];
+        core::CipherSpec spec{h.cipher_kind, h.cipher_mode};
+        spec.authenticate = (h.flags & core::kFlagAuthenticated) != 0;
+        const core::codec::CodecRuntime& runtime =
+            runtimes.get(h.params, h.scheme, spec);
+        core::codec::DecodeOptions opts;
+        opts.pool = &scratch;
+        return core::codec::decode_payload(runtime.config(), parsed.slabs[i],
+                                           opts);
+      },
+      [&](size_t, core::DecompressResult&& r) {
+        append(out.field.f32, std::move(r.f32));
+        append(out.field.f64, std::move(r.f64));
+      });
   return out;
 }
 
@@ -289,14 +255,19 @@ std::vector<T> decompress_slabs_impl(BytesView archive, BytesView key,
 
 Dims archive_dims(BytesView archive) { return parse_archive(archive).dims; }
 
+SlabDecodeResult decompress_slabs(BytesView archive, BytesView key,
+                                  const SlabConfig& config) {
+  return decode_slabs(archive, key, config, std::nullopt);
+}
+
 std::vector<float> decompress_slabs_f32(BytesView archive, BytesView key,
                                         const SlabConfig& config) {
-  return decompress_slabs_impl<float>(archive, key, config);
+  return decode_slabs(archive, key, config, sz::DType::kFloat32).field.f32;
 }
 
 std::vector<double> decompress_slabs_f64(BytesView archive, BytesView key,
                                          const SlabConfig& config) {
-  return decompress_slabs_impl<double>(archive, key, config);
+  return decode_slabs(archive, key, config, sz::DType::kFloat64).field.f64;
 }
 
 }  // namespace szsec::parallel

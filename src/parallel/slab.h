@@ -74,7 +74,8 @@ SlabCompressResult compress_slabs(std::span<const double> data,
 /// compress_slabs, but the archive bytes are written to `out` instead
 /// of materialized (SlabCompressResult::archive stays empty).  The v1
 /// layout — each container preceded by its varint length — streams
-/// naturally, so the writer emits slab by slab; bytes are identical to
+/// naturally: the prelude is written first and each slab as it commits,
+/// so memory is the in-flight window of slabs.  Bytes are identical to
 /// the in-memory overloads.
 SlabCompressResult compress_slabs_to(ByteSink& out,
                                      std::span<const float> data,
@@ -93,8 +94,20 @@ SlabCompressResult compress_slabs_to(ByteSink& out,
                                      const SlabConfig& config = {},
                                      crypto::CtrDrbg* seed_drbg = nullptr);
 
+struct SlabDecodeResult {
+  core::DecompressResult field;  ///< archive dims, dtype and elements
+  size_t slab_count = 0;
+};
+
 /// Decompresses a slab archive produced by compress_slabs (also
-/// thread-parallel).  Requires the same key for encrypted schemes.
+/// thread-parallel); the dtype comes from the slab headers, which are
+/// all checked against the prelude first.  The field then grows as
+/// slabs decode and commit, never sized from the dims the archive
+/// claims.  Requires the same key for encrypted schemes.
+SlabDecodeResult decompress_slabs(BytesView archive, BytesView key,
+                                  const SlabConfig& config = {});
+/// decompress_slabs for archives of one element type (CorruptError
+/// otherwise, before anything decodes).
 std::vector<float> decompress_slabs_f32(BytesView archive, BytesView key,
                                         const SlabConfig& config = {});
 std::vector<double> decompress_slabs_f64(BytesView archive, BytesView key,

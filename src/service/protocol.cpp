@@ -116,27 +116,8 @@ JobRequest parse_request(BytesView body) {
   SZSEC_CHECK_FORMAT(dtype <= 1, "unknown dtype");
   req.dtype = static_cast<sz::DType>(dtype);
   const uint8_t rank = r.get_u8();
-  SZSEC_CHECK_FORMAT(rank <= Dims::kMaxRank, "bad rank");
-  if (rank > 0) {
-    size_t extents[Dims::kMaxRank] = {};
-    for (size_t i = 0; i < rank; ++i) {
-      extents[i] = static_cast<size_t>(r.get_varint());
-    }
-    checked_field_elements(extents, rank);  // caps + overflow guard
-    switch (rank) {
-      case 1:
-        req.dims = Dims{extents[0]};
-        break;
-      case 2:
-        req.dims = Dims{extents[0], extents[1]};
-        break;
-      case 3:
-        req.dims = Dims{extents[0], extents[1], extents[2]};
-        break;
-      default:
-        req.dims = Dims{extents[0], extents[1], extents[2], extents[3]};
-        break;
-    }
+  if (rank > 0) {  // rank 0: the request carries no dims
+    req.dims = read_extents(r, rank);
     req.have_dims = true;
   }
   req.error_bound = std::bit_cast<double>(r.get_u64());

@@ -1,6 +1,10 @@
 #include "testing/mutators.h"
 
+#include "archive/chunked.h"
+#include "common/crc32.h"
 #include "core/container.h"
+#include "core/secure_compressor.h"
+#include "parallel/slab.h"
 
 namespace szsec::testing {
 
@@ -178,6 +182,73 @@ std::vector<Mutant> mutate_archive(BytesView archive, PropRng& rng) {
     add_flip(out, archive, "flip:chunk-container-" + n, embedded, end, rng);
   }
   return out;
+}
+
+namespace {
+
+/// The forged container behind huge_dims_v3_archive / _v1_archive.
+Bytes huge_dims_container() {
+  const Dims dims{2, 8};
+  std::vector<float> f(dims.count());
+  for (size_t i = 0; i < f.size(); ++i) {
+    f[i] = 0.125f * static_cast<float>(i) - 4.0f;
+  }
+  sz::Params params;
+  params.abs_error_bound = 1e-3;
+  crypto::CtrDrbg drbg(0x416E);
+  const core::SecureCompressor c(params, core::Scheme::kNone, {},
+                                 crypto::Mode::kCbc, &drbg);
+  const Bytes honest = c.compress(std::span<const float>(f), dims).container;
+
+  core::Header h = core::peek_header(BytesView(honest));
+  const size_t header_size = core::write_header(h).size();
+  const BytesView payload = BytesView(honest).subspan(header_size);
+  h.dims = Dims{2, size_t{1} << 39};
+  h.payload_crc =
+      crc32(payload, crc32(BytesView(core::header_semantic_bytes(h))));
+  Bytes container = core::write_header(h);
+  container.insert(container.end(), payload.begin(), payload.end());
+  return container;
+}
+
+}  // namespace
+
+Bytes huge_dims_v3_archive() {
+  const Bytes container = huge_dims_container();
+  const Dims huge = core::peek_header(BytesView(container)).dims;
+  ByteWriter fw;
+  fw.put_u64(archive::kResyncMarker);
+  fw.put_varint(0);                    // chunk id
+  fw.put_varint(0), fw.put_varint(2);  // rows [0, 2)
+  fw.put_varint(container.size());
+  fw.put_u32(crc32(BytesView(container)));
+  fw.put_bytes(BytesView(container));
+  const Bytes frame = fw.take();
+
+  ByteWriter w;
+  w.put_u32(archive::kChunkedMagic);
+  w.put_u8(archive::kChunkedVersion);
+  w.put_u8(2);
+  w.put_varint(huge[0]), w.put_varint(huge[1]);
+  w.put_varint(1);                              // one chunk
+  w.put_varint(0), w.put_varint(frame.size());  // offset, frame_len
+  w.put_varint(0), w.put_varint(2);             // rows [0, 2)
+  w.put_u32(crc32(BytesView(w.bytes())));
+  w.put_bytes(BytesView(frame));
+  return w.take();
+}
+
+Bytes huge_dims_v1_archive() {
+  const Bytes container = huge_dims_container();
+  const Dims huge = core::peek_header(BytesView(container)).dims;
+  ByteWriter w;
+  w.put_u32(parallel::kArchiveMagic);
+  w.put_u8(parallel::kArchiveVersion);
+  w.put_u8(2);
+  w.put_varint(huge[0]), w.put_varint(huge[1]);
+  w.put_varint(1);  // one slab
+  w.put_blob(BytesView(container));
+  return w.take();
 }
 
 }  // namespace szsec::testing

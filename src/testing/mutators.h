@@ -61,4 +61,16 @@ std::vector<Mutant> mutate_container(BytesView container, PropRng& rng);
 /// frame-length lies.
 std::vector<Mutant> mutate_archive(BytesView archive, PropRng& rng);
 
+/// Forged-dims regression inputs.  A 2x8 float32 field (Scheme::kNone,
+/// fixed IV seed) whose container header is rewritten to claim 2 x 2^39
+/// elements, the payload CRC re-sealed as an attacker would; every
+/// index, prelude and frame CRC around it is valid too, so only the
+/// codec's own check (code count against dims) can reject it.  A
+/// decoder that sizes its output from any of these claims asks for
+/// 2^40 elements before that check runs.
+/// The v3 form: one frame under an index claiming the same dims.
+Bytes huge_dims_v3_archive();
+/// The v1 form: one slab under a prelude claiming the same dims.
+Bytes huge_dims_v1_archive();
+
 }  // namespace szsec::testing

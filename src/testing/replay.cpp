@@ -10,6 +10,7 @@
 #include "core/secure_compressor.h"
 #include "crypto/cipher.h"
 #include "huffman/huffman.h"
+#include "parallel/slab.h"
 #include "zlite/zlite.h"
 
 namespace szsec::testing {
@@ -88,9 +89,28 @@ void check_contexts(BytesView input, BytesView key,
   }
 }
 
+/// v1 slab archives: the slab decoder, then the same Context
+/// differential.
+void replay_slabs(BytesView input) {
+  const Bytes key = replay_key(16);
+  std::optional<Bytes> want;
+  try {
+    const parallel::SlabDecodeResult r = parallel::decompress_slabs(
+        input, BytesView(key), parallel::SlabConfig{.threads = 1});
+    const BytesView field = core::element_bytes(r.field);
+    want = Bytes(field.begin(), field.end());
+  } catch (const Error&) {
+  }
+  check_contexts(input, BytesView(key), want);
+}
+
 }  // namespace
 
 void replay_decode(BytesView input) {
+  if (input.size() >= 4 &&
+      ByteReader(input).get_u32() == parallel::kArchiveMagic) {
+    return replay_slabs(input);
+  }
   core::Header h;
   try {
     h = core::peek_header(input);

@@ -22,11 +22,12 @@ namespace szsec::testing {
 Bytes replay_key(size_t n);
 
 /// Arbitrary bytes into the v2 container decoder (header peek, then a
-/// full decode keyed per the header's cipher kind), then through strict
-/// and salvage sans-io decoder Contexts fed and drained at split points
-/// derived from the input; where the one-shot decode succeeds, both
-/// Contexts must reproduce its bytes, and any non-szsec::Error exception
-/// aborts.
+/// full decode keyed per the header's cipher kind) — or, for input with
+/// the v1 slab-archive magic, into the slab decoder — then through
+/// strict and salvage sans-io decoder Contexts fed and drained at split
+/// points derived from the input; where the one-shot decode succeeds,
+/// both Contexts must reproduce its bytes, and any non-szsec::Error
+/// exception aborts.
 void replay_decode(BytesView input);
 
 /// Framed input ([count u16][tree_len u16][tree][codewords]) into the

@@ -328,27 +328,6 @@ void decode_block(LsbBitReader& r, float* vals, int d, double tolerance) {
   }
 }
 
-Dims read_dims(ByteReader& r) {
-  const uint8_t rank = r.get_u8();
-  SZSEC_CHECK_FORMAT(rank >= 1 && rank <= Dims::kMaxRank, "bad zfpl rank");
-  size_t e[Dims::kMaxRank] = {};
-  for (uint8_t i = 0; i < rank; ++i) {
-    const uint64_t v = r.get_varint();
-    SZSEC_CHECK_FORMAT(v > 0 && v <= (uint64_t{1} << 40), "bad extent");
-    e[i] = static_cast<size_t>(v);
-  }
-  switch (rank) {
-    case 1:
-      return Dims{e[0]};
-    case 2:
-      return Dims{e[0], e[1]};
-    case 3:
-      return Dims{e[0], e[1], e[2]};
-    default:
-      return Dims{e[0], e[1], e[2], e[3]};
-  }
-}
-
 }  // namespace
 
 Bytes compress(std::span<const float> data, const Dims& dims,

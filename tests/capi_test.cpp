@@ -19,6 +19,7 @@
 #include "common/io.h"
 #include "core/sansio.h"
 #include "szsec.h"
+#include "testing/mutators.h"
 
 namespace szsec {
 namespace {
@@ -219,6 +220,19 @@ TEST(CApiErrors, CorruptContainer) {
   EXPECT_EQ(szsec_feed(ctx, junk, 1, nullptr), SZSEC_E_STATE);
   EXPECT_EQ(szsec_finish(ctx), SZSEC_E_STATE);
   szsec_ctx_free(ctx);
+}
+
+// A v1 slab archive whose prelude and slab header claim 2 x 2^39
+// elements (CRC re-sealed): the one-shot decode reports the codec's own
+// rejection as SZSEC_E_CORRUPT, never an allocation failure.
+TEST(CApiErrors, ForgedSlabDimsAreCorruptNotNomem) {
+  const Bytes a = testing::huge_dims_v1_archive();
+  uint8_t* plain = nullptr;
+  size_t plain_len = 0;
+  EXPECT_EQ(szsec_decompress(nullptr, nullptr, 0, a.data(), a.size(), &plain,
+                             &plain_len, nullptr),
+            SZSEC_E_CORRUPT);
+  EXPECT_EQ(plain, nullptr);
 }
 
 TEST(CApiErrors, TruncatedEncodeInputIsIo) {

@@ -19,6 +19,7 @@
 #include "archive/chunked.h"
 #include "archive/verify.h"
 #include "common/crc32.h"
+#include "core/sansio.h"
 #include "core/secure_compressor.h"
 #include "crypto/drbg.h"
 #include "huffman/huffman.h"
@@ -253,47 +254,12 @@ TEST(DecoderHardening, ShortCodeStreamWithHugeDimsRejected) {
 }
 
 // The same forgery inside a v3 archive whose index (CRC re-sealed too)
-// agrees with the huge dims.  The streaming decoders must size a chunk's
-// output only after the codec has checked the payload against the dims,
-// so the 2^40-element claim fails typed instead of allocating 4 TiB.
+// agrees with the huge dims (testing::huge_dims_v3_archive).  The
+// streaming decoders must size a chunk's output only after the codec has
+// checked the payload against the dims, so the 2^40-element claim fails
+// typed instead of allocating 4 TiB.
 TEST(DecoderHardening, ChunkWithHugeDimsFailsTypedInStreamDecoders) {
-  const Dims dims{2, 8};
-  const std::vector<float> f = ramp(dims.count());
-  const core::SecureCompressor c(small_params(), core::Scheme::kNone);
-  const auto r = c.compress(std::span<const float>(f), dims);
-
-  core::Header h = core::peek_header(BytesView(r.container));
-  const size_t header_size = core::write_header(h).size();
-  const Bytes payload(r.container.begin() +
-                          static_cast<std::ptrdiff_t>(header_size),
-                      r.container.end());
-  const Dims huge{2, size_t{1} << 39};
-  h.dims = huge;
-  h.payload_crc = crc32(BytesView(payload),
-                        crc32(BytesView(core::header_semantic_bytes(h))));
-  Bytes container = core::write_header(h);
-  container.insert(container.end(), payload.begin(), payload.end());
-
-  ByteWriter fw;
-  fw.put_u64(archive::kResyncMarker);
-  fw.put_varint(0);  // chunk id
-  fw.put_varint(0), fw.put_varint(2);  // rows [0, 2)
-  fw.put_varint(container.size());
-  fw.put_u32(crc32(BytesView(container)));
-  fw.put_bytes(BytesView(container));
-  const Bytes frame = fw.take();
-
-  ByteWriter w;
-  w.put_u32(archive::kChunkedMagic);
-  w.put_u8(archive::kChunkedVersion);
-  w.put_u8(2);
-  w.put_varint(huge[0]), w.put_varint(huge[1]);
-  w.put_varint(1);  // one chunk
-  w.put_varint(0), w.put_varint(frame.size());  // offset, frame_len
-  w.put_varint(0), w.put_varint(2);             // rows [0, 2)
-  w.put_u32(crc32(BytesView(w.bytes())));
-  w.put_bytes(BytesView(frame));
-  const Bytes a = w.take();
+  const Bytes a = huge_dims_v3_archive();
 
   MemorySource strict_in{BytesView(a)};
   MemorySink strict_out;
@@ -313,6 +279,37 @@ TEST(DecoderHardening, ChunkWithHugeDimsFailsTypedInStreamDecoders) {
   EXPECT_EQ(sr.report.chunks[0].status, archive::ChunkStatus::kCorrupt);
   EXPECT_EQ(sr.report.chunks_recovered, 0u);
   EXPECT_TRUE(salvage_out.bytes().empty());
+}
+
+// The in-memory strict decoders run the same stream decoder over the
+// archive bytes and grow their result as chunks commit, so the forged
+// claim fails typed there too instead of sizing 2^40 elements upfront.
+TEST(DecoderHardening, ChunkWithHugeDimsFailsTypedInMemoryDecoders) {
+  const Bytes a = huge_dims_v3_archive();
+  EXPECT_THROW((void)archive::decompress_chunked_f32(BytesView(a), {}),
+               CorruptError);
+  EXPECT_THROW((void)archive::decompress_chunked_f64(BytesView(a), {}),
+               CorruptError);
+}
+
+// The v1 twin: one slab whose header and the prelude claim the huge
+// dims.  The slab decoder sizes each slab only through the codec, so the
+// claim fails typed from the typed and dtype-tagged entry points and
+// through a decoder Context (which reaches v1 only at finish()).
+TEST(DecoderHardening, SlabWithHugeDimsFailsTyped) {
+  const Bytes a = huge_dims_v1_archive();
+  EXPECT_EQ(parallel::archive_dims(BytesView(a)),
+            (Dims{2, size_t{1} << 39}));
+  EXPECT_THROW((void)parallel::decompress_slabs_f32(BytesView(a), {}),
+               CorruptError);
+  EXPECT_THROW((void)parallel::decompress_slabs(BytesView(a), {}),
+               CorruptError);
+
+  const auto ctx = sansio::Context::decoder({});
+  size_t consumed = 0;
+  (void)ctx->feed(BytesView(a), consumed);
+  EXPECT_EQ(consumed, a.size());
+  EXPECT_THROW(ctx->finish(), CorruptError);
 }
 
 // Index rows are validated subtractively so row_start + row_extent can
@@ -509,7 +506,7 @@ TEST(DecoderHardening, SeekFooterElementOverlapAndGapRejected) {
 }
 
 // Footer dims whose element product overflows size_t must die in
-// checked_field_elements before any allocation is sized from them.
+// read_extents before any allocation is sized from them.
 TEST(DecoderHardening, SeekFooterExtentProductOverflowRejected) {
   std::vector<float> baseline;
   const Bytes base = footerless_archive(baseline);
